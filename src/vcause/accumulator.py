@@ -14,21 +14,21 @@ serialization point between the single writer and concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import hashlib
+import struct
+from dataclasses import dataclass
 
 from . import dimtree
 from .dimtree import DimTree, LeafRecord, RangeSearchResult, SearchProof
 from .hashcore import hash_bytes
-from .wire import Reader, WireError, str_lp, u8, u32, u64, u128
+from .wire import Reader, WireError, decode, flag, optional, seq, str_lp, u8, u64, u128
 
 _GLOBAL_LEAF_TAG = b"vc:global-leaf\x00"
 _REGISTRY_TAG = b"vc:registry\x00"
 
 MAX_SEQ = (1 << 32) - 1
 
-_KEY_PACK = __import__("struct").Struct(">QI")
+_KEY_PACK = struct.Struct(">QI")
 
 KIND_MEMBER = "member"
 KIND_NONMEMBER_GLOBAL = "nonmember_global"
@@ -80,7 +80,7 @@ class TimestampKey:
 
     @classmethod
     def read_from(cls, r: Reader) -> "TimestampKey":
-        return cls(r.u64(), r.u32())
+        return cls(*_KEY_PACK.unpack(r.take(_KEY_PACK.size)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +125,37 @@ def registry_digest_of(entities: list[str]) -> bytes:
     return h.digest()
 
 
+def registry_bytes(registry: list[str]) -> bytes:
+    """External-id list as proofs and snapshots carry it."""
+    return seq(registry, str_lp)
+
+
+def read_registry(r: Reader) -> list[str]:
+    return r.seq(Reader.str_lp)
+
+
+def _search_tail(internal_id, global_proof, local, registry) -> bytes:
+    """Fields NodeProof and RangeProof share: the internal id (0 for an
+    unknown entity), the optional global search proof, the optional local
+    proof and the optional registry snapshot."""
+    return b"".join((
+        u64(internal_id or 0),
+        optional(global_proof),
+        optional(local),
+        optional(registry, registry_bytes),
+    ))
+
+
+def _checked_id(internal_id: int, unknown_entity: bool) -> int | None:
+    """An unknown entity has no internal id: it travels as 0, and only as 0,
+    so that one answer has one accepted encoding."""
+    if not unknown_entity:
+        return internal_id
+    if internal_id != 0:
+        raise WireError("internal id on an unknown-entity proof")
+    return None
+
+
 @dataclass(slots=True)
 class NodeProof:
     """Evidence for a single-node query outcome.
@@ -142,21 +173,12 @@ class NodeProof:
     registry: list[str] | None = None
 
     def to_bytes(self) -> bytes:
-        out = [u8(1), u8(_KIND_TAGS[self.kind]), str_lp(self.entity_ext)]
-        out.append(u64(self.internal_id if self.internal_id is not None else 0))
-        for proof in (self.global_proof, self.local_proof):
-            if proof is None:
-                out.append(u8(0))
-            else:
-                out.append(u8(1))
-                out.append(proof.to_bytes())
-        if self.registry is None:
-            out.append(u8(0))
-        else:
-            out.append(u8(1))
-            out.append(u32(len(self.registry)))
-            out.extend(str_lp(e) for e in self.registry)
-        return b"".join(out)
+        return (
+            u8(1)
+            + u8(_KIND_TAGS[self.kind])
+            + str_lp(self.entity_ext)
+            + _search_tail(self.internal_id, self.global_proof, self.local_proof, self.registry)
+        )
 
     @classmethod
     def read_from(cls, r: Reader) -> "NodeProof":
@@ -166,21 +188,14 @@ class NodeProof:
         if kind is None:
             raise WireError("unknown proof kind")
         entity_ext = r.str_lp()
-        internal_id = r.u64()
-        proofs = []
-        for _ in range(2):
-            proofs.append(SearchProof.read_from(r) if r.u8() == 1 else None)
-        registry = None
-        if r.u8() == 1:
-            registry = [r.str_lp() for _ in range(r.u32())]
-        return cls(kind, entity_ext, internal_id, proofs[0], proofs[1], registry)
+        internal_id = _checked_id(r.u64(), kind == KIND_NONMEMBER_GLOBAL)
+        gp = r.optional(SearchProof.read_from)
+        lp = r.optional(SearchProof.read_from)
+        return cls(kind, entity_ext, internal_id, gp, lp, r.optional(read_registry))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NodeProof":
-        r = Reader(data)
-        proof = cls.read_from(r)
-        r.finish()
-        return proof
+        return decode(data, cls.read_from)
 
 
 @dataclass(slots=True)
@@ -190,7 +205,7 @@ class NodeProofResult:
     proof: NodeProof
 
     def to_bytes(self) -> bytes:
-        out = [u8(1 if self.found else 0)]
+        out = [flag(self.found)]
         if self.found:
             out.append(self.node_key.to_bytes())
         out.append(self.proof.to_bytes())
@@ -198,7 +213,7 @@ class NodeProofResult:
 
     @classmethod
     def read_from(cls, r: Reader) -> "NodeProofResult":
-        found = r.u8() == 1
+        found = r.flag()
         key = TimestampKey.read_from(r) if found else None
         return cls(found, key, NodeProof.read_from(r))
 
@@ -212,20 +227,11 @@ class RangeProof:
     registry: list[str] | None = None  # set when the entity itself is unknown
 
     def to_bytes(self) -> bytes:
-        out = [u8(1), str_lp(self.entity_ext), u64(self.internal_id or 0)]
-        for blob in (self.global_proof, self.local_range):
-            if blob is None:
-                out.append(u8(0))
-            else:
-                out.append(u8(1))
-                out.append(blob.to_bytes())
-        if self.registry is None:
-            out.append(u8(0))
-        else:
-            out.append(u8(1))
-            out.append(u32(len(self.registry)))
-            out.extend(str_lp(e) for e in self.registry)
-        return b"".join(out)
+        return (
+            u8(1)
+            + str_lp(self.entity_ext)
+            + _search_tail(self.internal_id, self.global_proof, self.local_range, self.registry)
+        )
 
     @classmethod
     def read_from(cls, r: Reader) -> "RangeProof":
@@ -233,12 +239,10 @@ class RangeProof:
             raise WireError("unsupported range proof version")
         entity_ext = r.str_lp()
         internal_id = r.u64()
-        gp = SearchProof.read_from(r) if r.u8() == 1 else None
-        lr = RangeSearchResult.read_from(r) if r.u8() == 1 else None
-        registry = None
-        if r.u8() == 1:
-            registry = [r.str_lp() for _ in range(r.u32())]
-        return cls(entity_ext, internal_id, gp, lr, registry)
+        gp = r.optional(SearchProof.read_from)
+        lr = r.optional(RangeSearchResult.read_from)
+        registry = r.optional(read_registry)
+        return cls(entity_ext, _checked_id(internal_id, registry is not None), gp, lr, registry)
 
 
 @dataclass(slots=True)
@@ -416,6 +420,21 @@ def _verify_global_member(
     return dimtree.verify_path(root, dimtree.REL_EXACT, internal_id, gp)
 
 
+def _verify_unknown(root: bytes, entity_ext: str, proof, registry_digest) -> bool:
+    """Unknown entity: the shipped registry hashes to the signed digest and
+    omits entity_ext, and the next dense id is absent from the global tree."""
+    return (
+        proof.registry is not None
+        and proof.global_proof is not None
+        and registry_digest is not None
+        and registry_digest_of(proof.registry) == registry_digest
+        and entity_ext not in proof.registry
+        and dimtree.verify_path(
+            root, dimtree.REL_EXACT, len(proof.registry), proof.global_proof
+        )
+    )
+
+
 def verify_node(
     root: bytes,
     entity_ext: str,
@@ -434,17 +453,7 @@ def verify_node(
     op, bound = relation.local_bound()
 
     if proof.kind == KIND_NONMEMBER_GLOBAL:
-        if result.found or proof.registry is None or proof.global_proof is None:
-            return False
-        if registry_digest is None:
-            return False
-        if registry_digest_of(proof.registry) != registry_digest:
-            return False
-        if entity_ext in proof.registry:
-            return False
-        return dimtree.verify_path(
-            root, dimtree.REL_EXACT, len(proof.registry), proof.global_proof
-        )
+        return not result.found and _verify_unknown(root, entity_ext, proof, registry_digest)
 
     if proof.global_proof is None or proof.local_proof is None:
         return False
@@ -484,17 +493,8 @@ def verify_range(
     if proof.entity_ext != entity_ext:
         return False
     if proof.registry is not None:
-        # unknown entity: same checks as single-node global non-membership
-        if result.found or result.leaves or proof.global_proof is None:
-            return False
-        if registry_digest is None:
-            return False
-        if registry_digest_of(proof.registry) != registry_digest:
-            return False
-        if entity_ext in proof.registry:
-            return False
-        return dimtree.verify_path(
-            root, dimtree.REL_EXACT, len(proof.registry), proof.global_proof
+        return not (result.found or result.leaves) and _verify_unknown(
+            root, entity_ext, proof, registry_digest
         )
     local = proof.local_range
     if local is None or proof.global_proof is None:

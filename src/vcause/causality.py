@@ -26,9 +26,23 @@ from .accumulator import (
     TimestampKey,
 )
 from .commitment import Commitment
-from .hashcore import MsetDigest, encode_edge, hash_bytes, mset_empty, mset_hash_set
-from .provgraph import _NLEAF_TAG, _NODE_TAG, Graph, NodeRef, terminal_marker
-from .wire import Reader, WireError, bytes_lp, str_lp, u32, u64, u8
+from .hashcore import (
+    MsetDigest,
+    edge_kind_bytes,
+    encode_edge,
+    mset_empty,
+    mset_hash_set,
+    read_edge_kind,
+)
+from .provgraph import (
+    Graph,
+    NodeRef,
+    node_id_bytes,
+    node_leaf_digest,
+    read_node_id,
+    terminal_marker,
+)
+from .wire import Reader, WireError, bytes_lp, flag, node_ref, optional, seq, str_lp, u8, u64
 
 BACKWARD = "backward"
 FORWARD = "forward"
@@ -36,9 +50,6 @@ BOTH = "both"
 
 _DIRECTION_TAGS = {BACKWARD: 0, FORWARD: 1, BOTH: 2}
 _DIRECTION_FROM_TAG = {v: k for k, v in _DIRECTION_TAGS.items()}
-
-_KIND_TAGS = {"temporal": 0, "dependency": 1}
-_KIND_FROM_TAG = {v: k for k, v in _KIND_TAGS.items()}
 
 
 class NotCommitted(RuntimeError):
@@ -72,54 +83,6 @@ class CausalityQuery:
         return cls(ext, rel, direction)
 
 
-def _ref_bytes(ref: NodeRef) -> bytes:
-    entity_id, key = ref
-    return u64(entity_id) + u64(key >> 32) + u32(key & 0xFFFFFFFF)
-
-
-def _read_ref(r: Reader) -> NodeRef:
-    entity_id = r.u64()
-    return (entity_id, (r.u64() << 32) | r.u32())
-
-
-def _canonical_node_bytes(
-    entity_ext: str,
-    entity_id: int,
-    key: TimestampKey,
-    is_terminal: bool,
-    terminal_target: NodeRef | None,
-) -> bytes:
-    out = [
-        _NODE_TAG,
-        str_lp(entity_ext),
-        u64(entity_id),
-        key.to_bytes(),
-        u8(1 if is_terminal else 0),
-    ]
-    if terminal_target is None:
-        out.append(u8(0))
-    else:
-        out.extend((u8(1), _ref_bytes(terminal_target)))
-    return b"".join(out)
-
-
-def node_leaf_digest_from_parts(
-    entity_ext: str,
-    entity_id: int,
-    key: TimestampKey,
-    is_terminal: bool,
-    terminal_target: NodeRef | None,
-    pi_in: MsetDigest,
-    pi_out: MsetDigest,
-) -> bytes:
-    return hash_bytes(
-        _NLEAF_TAG
-        + _canonical_node_bytes(entity_ext, entity_id, key, is_terminal, terminal_target)
-        + pi_in.to_bytes()
-        + pi_out.to_bytes()
-    )
-
-
 @dataclass(slots=True)
 class WireNode:
     """One component node on the wire.
@@ -139,22 +102,13 @@ class WireNode:
         return (self.entity_id, self.key.encoded())
 
     def to_bytes(self) -> bytes:
-        out = [u64(self.entity_id), self.key.to_bytes(), u8(1 if self.is_terminal else 0)]
-        if self.terminal_target is None:
-            out.append(u8(0))
-        else:
-            out.extend((u8(1), _ref_bytes(self.terminal_target)))
-        out.append(self.pi.to_bytes())
-        return b"".join(out)
+        return node_id_bytes(
+            self.entity_id, self.key, self.is_terminal, self.terminal_target
+        ) + self.pi.to_bytes()
 
     @classmethod
     def read_from(cls, r: Reader) -> "WireNode":
-        entity_id = r.u64()
-        key = TimestampKey.read_from(r)
-        is_terminal = r.u8() == 1
-        target = _read_ref(r) if r.u8() == 1 else None
-        pi = MsetDigest.from_bytes(r.take(512))
-        return cls(entity_id, key, is_terminal, target, pi)
+        return cls(*read_node_id(r), MsetDigest.read_from(r))
 
 
 @dataclass(slots=True)
@@ -169,35 +123,16 @@ class WireEdge:
 
     def to_bytes(self) -> bytes:
         return (
-            u8(_KIND_TAGS[self.kind])
-            + _ref_bytes(self.src_ref)
-            + _ref_bytes(self.dst_ref)
+            edge_kind_bytes(self.kind)
+            + node_ref(self.src_ref)
+            + node_ref(self.dst_ref)
             + str_lp(self.event_type)
             + bytes_lp(self.payload)
         )
 
     @classmethod
     def read_from(cls, r: Reader) -> "WireEdge":
-        kind = _KIND_FROM_TAG.get(r.u8())
-        if kind is None:
-            raise WireError("unknown edge kind")
-        return cls(kind, _read_ref(r), _read_ref(r), r.str_lp(), r.bytes_lp())
-
-
-class _Endpoint:
-    """Adapter giving encode_edge the node fields it needs."""
-
-    __slots__ = ("entity_id", "key")
-
-    def __init__(self, entity_id: int, key: TimestampKey):
-        self.entity_id = entity_id
-        self.key = key
-
-
-def _encode_wire_edge(edge: WireEdge) -> bytes:
-    src = _Endpoint(edge.src_ref[0], TimestampKey.from_encoded(edge.src_ref[1]))
-    dst = _Endpoint(edge.dst_ref[0], TimestampKey.from_encoded(edge.dst_ref[1]))
-    return encode_edge(edge, src, dst)
+        return cls(read_edge_kind(r), r.node_ref(), r.node_ref(), r.str_lp(), r.bytes_lp())
 
 
 @dataclass(slots=True)
@@ -214,7 +149,7 @@ class PoiRecord:
         return (self.entity_id, self.key.encoded())
 
     def leaf_digest(self, entity_ext: str) -> bytes:
-        return node_leaf_digest_from_parts(
+        return node_leaf_digest(
             entity_ext, self.entity_id, self.key, False, None, self.pi_in, self.pi_out
         )
 
@@ -231,8 +166,8 @@ class PoiRecord:
         return cls(
             r.u64(),
             TimestampKey.read_from(r),
-            MsetDigest.from_bytes(r.take(512)),
-            MsetDigest.from_bytes(r.take(512)),
+            MsetDigest.read_from(r),
+            MsetDigest.read_from(r),
         )
 
 
@@ -243,18 +178,15 @@ class WireSegment:
     edges: list[WireEdge]
 
     def to_bytes(self) -> bytes:
-        out = [_ref_bytes(self.anchor_ref), u32(len(self.nodes))]
-        out.extend(n.to_bytes() for n in self.nodes)
-        out.append(u32(len(self.edges)))
-        out.extend(e.to_bytes() for e in self.edges)
-        return b"".join(out)
+        return (
+            node_ref(self.anchor_ref)
+            + seq(self.nodes, WireNode.to_bytes)
+            + seq(self.edges, WireEdge.to_bytes)
+        )
 
     @classmethod
     def read_from(cls, r: Reader) -> "WireSegment":
-        anchor = _read_ref(r)
-        nodes = [WireNode.read_from(r) for _ in range(r.u32())]
-        edges = [WireEdge.read_from(r) for _ in range(r.u32())]
-        return cls(anchor, nodes, edges)
+        return cls(r.node_ref(), r.seq(WireNode.read_from), r.seq(WireEdge.read_from))
 
 
 @dataclass(slots=True)
@@ -274,9 +206,10 @@ class RootProofEntry:
     range_proof: RangeProof | None = None
 
     def to_bytes(self) -> bytes:
-        out = [str_lp(self.entity_ext), u32(len(self.anchors))]
-        for key, pi_in in self.anchors:
-            out.extend((key.to_bytes(), pi_in.to_bytes()))
+        out = [
+            str_lp(self.entity_ext),
+            seq(self.anchors, lambda a: a[0].to_bytes() + a[1].to_bytes()),
+        ]
         if self.node_proof is not None:
             out.extend((u8(0), self.node_proof.to_bytes()))
         else:
@@ -287,9 +220,7 @@ class RootProofEntry:
     @classmethod
     def read_from(cls, r: Reader) -> "RootProofEntry":
         ext = r.str_lp()
-        anchors = []
-        for _ in range(r.u32()):
-            anchors.append((TimestampKey.read_from(r), MsetDigest.from_bytes(r.take(512))))
+        anchors = r.seq(lambda r: (TimestampKey.read_from(r), MsetDigest.read_from(r)))
         tag = r.u8()
         if tag == 0:
             return cls(ext, anchors, node_proof=NodeProofResult.read_from(r))
@@ -311,26 +242,21 @@ class ProofBundle:
     root_proofs: list[RootProofEntry] | None = None
 
     def to_bytes(self) -> bytes:
-        out = [u8(1), self.query.to_bytes(), bytes_lp(self.commitment.to_bytes())]
-        if self.poi is None:
-            out.append(u8(0))
-        else:
-            out.extend((u8(1), self.poi.to_bytes()))
-        out.append(self.poi_proof.to_bytes())
-        if self.backward_nodes is None:
-            out.append(u8(0))
-        else:
-            out.extend((u8(1), u32(len(self.backward_nodes))))
-            out.extend(n.to_bytes() for n in self.backward_nodes)
-            out.append(u32(len(self.backward_edges)))
-            out.extend(e.to_bytes() for e in self.backward_edges)
-        if self.forward_segments is None:
-            out.append(u8(0))
-        else:
-            out.extend((u8(1), u32(len(self.forward_segments))))
-            out.extend(s.to_bytes() for s in self.forward_segments)
-            out.append(u32(len(self.root_proofs)))
-            out.extend(p.to_bytes() for p in self.root_proofs)
+        out = [
+            u8(1),
+            self.query.to_bytes(),
+            bytes_lp(self.commitment.to_bytes()),
+            optional(self.poi),
+            self.poi_proof.to_bytes(),
+            flag(self.backward_nodes is not None),
+        ]
+        if self.backward_nodes is not None:
+            out.append(seq(self.backward_nodes, WireNode.to_bytes))
+            out.append(seq(self.backward_edges, WireEdge.to_bytes))
+        out.append(flag(self.forward_segments is not None))
+        if self.forward_segments is not None:
+            out.append(seq(self.forward_segments, WireSegment.to_bytes))
+            out.append(seq(self.root_proofs, RootProofEntry.to_bytes))
         return b"".join(out)
 
     @classmethod
@@ -340,16 +266,16 @@ class ProofBundle:
             raise WireError("unsupported bundle version")
         query = CausalityQuery.read_from(r)
         commitment = Commitment.from_bytes(r.bytes_lp())
-        poi = PoiRecord.read_from(r) if r.u8() == 1 else None
+        poi = r.optional(PoiRecord.read_from)
         poi_proof = NodeProofResult.read_from(r)
         backward_nodes = backward_edges = None
-        if r.u8() == 1:
-            backward_nodes = [WireNode.read_from(r) for _ in range(r.u32())]
-            backward_edges = [WireEdge.read_from(r) for _ in range(r.u32())]
+        if r.flag():
+            backward_nodes = r.seq(WireNode.read_from)
+            backward_edges = r.seq(WireEdge.read_from)
         forward_segments = root_proofs = None
-        if r.u8() == 1:
-            forward_segments = [WireSegment.read_from(r) for _ in range(r.u32())]
-            root_proofs = [RootProofEntry.read_from(r) for _ in range(r.u32())]
+        if r.flag():
+            forward_segments = r.seq(WireSegment.read_from)
+            root_proofs = r.seq(RootProofEntry.read_from)
         r.finish()
         return cls(
             query, commitment, poi, poi_proof,
@@ -525,7 +451,7 @@ def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]
                 src_pi = computed.get(e.src_ref)
                 if src_pi is None:
                     return False  # cycle: a source never finished computing
-                elems.append(_encode_wire_edge(e) + src_pi.to_bytes())
+                elems.append(encode_edge(e, e.src_ref, e.dst_ref) + src_pi.to_bytes())
             computed[ref] = mset_hash_set(elems)
             continue
         if ref in computed or ref in in_progress:
@@ -606,7 +532,8 @@ def verify_forward(
                         return False  # cycle: a successor never finished
                     dst_rec = pool[e.dst_ref]
                     marker = terminal_marker(dst_rec.is_terminal, dst_rec.terminal_target)
-                    elems.append(_encode_wire_edge(e) + marker + dst_pi.to_bytes())
+                    enc = encode_edge(e, e.src_ref, e.dst_ref)
+                    elems.append(enc + marker + dst_pi.to_bytes())
                 computed[ref] = mset_hash_set(elems)
                 continue
             if ref in computed or ref in in_progress:
@@ -646,7 +573,7 @@ def _verify_root_proofs(
             rec = pool.get(ref)
             if rec is None or rec.is_terminal:
                 return False
-            digest = node_leaf_digest_from_parts(
+            digest = node_leaf_digest(
                 entry.entity_ext, internal_id, key, False, None, pi_in, rec.pi
             )
             claimed.append((ref, digest))

@@ -91,17 +91,20 @@ def gen(cli, seed, events, entities, fanout, tie_prob, max_step, actions, out):
         cli.emit({"written": out, "events": events}, f"wrote {events} events to {out}")
 
 
+def _read_keys(cli) -> KeyPair:
+    with open(cli.path("key.pem"), "rb") as fh:
+        sk = load_private_pem(fh.read())
+    return KeyPair(sk, sk.public_key())
+
+
 def _load_or_create_keys(cli) -> KeyPair:
-    priv = cli.path("key.pem")
-    pub = cli.path("key.pub.pem")
-    if os.path.exists(priv):
-        sk = load_private_pem(open(priv, "rb").read())
-        return KeyPair(sk, sk.public_key())
+    if os.path.exists(cli.path("key.pem")):
+        return _read_keys(cli)
     kp = KeyPair.generate()
     os.makedirs(cli.state_dir, exist_ok=True)
-    with open(priv, "wb") as fh:
+    with open(cli.path("key.pem"), "wb") as fh:
         fh.write(kp.private_pem())
-    with open(pub, "wb") as fh:
+    with open(cli.path("key.pub.pem"), "wb") as fh:
         fh.write(kp.public_pem())
     return kp
 
@@ -139,9 +142,16 @@ def _load_endpoint(cli) -> protocol.EndpointLogger:
     snap = cli.path("state.bin")
     if not os.path.exists(snap):
         raise click.ClickException(f"no state snapshot in {cli.state_dir}; run ingest first")
-    endpoint_id, epoch, state, commitments = protocol.load_state(snap)
-    kp = _load_or_create_keys(cli)
-    logger = protocol.EndpointLogger(endpoint_id, kp, state.config)
+    if not os.path.exists(cli.path("key.pem")):
+        # a fresh key would sign new epochs that no administrator trusts
+        raise click.ClickException(
+            f"{cli.path('key.pem')} is missing; the endpoint key of {snap} is required"
+        )
+    try:
+        endpoint_id, epoch, state, commitments = protocol.load_state(snap)
+    except WireError as exc:
+        raise click.ClickException(f"corrupt state snapshot {snap}: {exc}")
+    logger = protocol.EndpointLogger(endpoint_id, _read_keys(cli), state.config)
     logger.state = state
     logger.epoch = epoch
     logger.commitments = commitments

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hashcore import sign_payload, verify_payload
-from .wire import Reader, WireError, str_lp, u16, u64
+from .wire import Reader, WireError, decode, str_lp, u16, u64
 
 _TAG = b"VCAUSE1"
 
@@ -58,10 +58,7 @@ class Commitment:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Commitment":
-        r = Reader(data)
-        c = cls.read_from(r)
-        r.finish()
-        return c
+        return decode(data, cls.read_from)
 
 
 def make_commitment(

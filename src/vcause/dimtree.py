@@ -18,7 +18,7 @@ import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .wire import Reader, WireError, u8, u16, u128
+from .wire import Reader, WireError, decode, flag, u8, u16, u128
 
 _LEAF_TAG = b"\x00"
 _INTERNAL_TAG = b"\x01"
@@ -72,6 +72,13 @@ counters = HashCounters()
 class LeafRecord:
     key: int
     payload: bytes
+
+    def to_bytes(self) -> bytes:
+        return u128(self.key) + self.payload
+
+    @classmethod
+    def read_from(cls, r: Reader) -> "LeafRecord":
+        return cls(r.u128(), r.take(32))
 
 
 class _Node:
@@ -141,6 +148,23 @@ class PathStep:
     max_key: int
     hash: bytes
 
+    def to_bytes(self) -> bytes:
+        return b"".join((
+            u8(self.side), u8(self.height), u128(self.min_key), u128(self.max_key), self.hash
+        ))
+
+    @classmethod
+    def read_from(cls, r: Reader) -> "PathStep":
+        return cls(r.u8(), r.u8(), r.u128(), r.u128(), r.take(32))
+
+
+def _steps_bytes(steps: list[PathStep]) -> bytes:
+    return u16(len(steps)) + b"".join(s.to_bytes() for s in steps)
+
+
+def _read_steps(r: Reader) -> list[PathStep]:
+    return [PathStep.read_from(r) for _ in range(r.u16())]
+
 
 @dataclass(frozen=True, slots=True)
 class Terminus:
@@ -175,17 +199,14 @@ class SearchProof:
     leaf_index: int | None = None  # prover-side convenience, not verified
 
     def to_bytes(self) -> bytes:
-        out = [u8(1), u8(_REL_TAGS[self.relation]), u128(self.key), u8(1 if self.found else 0)]
+        out = [u8(1), u8(_REL_TAGS[self.relation]), u128(self.key), flag(self.found)]
         if self.found:
-            out.append(u128(self.leaf.key))
-            out.append(self.leaf.payload)
-        out.append(u16(len(self.steps)))
-        for s in self.steps:
-            out.extend((u8(s.side), u8(s.height), u128(s.min_key), u128(s.max_key), s.hash))
+            out.append(self.leaf.to_bytes())
+        out.append(_steps_bytes(self.steps))
         if not self.found:
             t = self.terminus
             if t.leaf is not None:
-                out.extend((u8(0), u128(t.leaf.key), t.leaf.payload))
+                out.extend((u8(0), t.leaf.to_bytes()))
             else:
                 out.append(u8(1))
                 for h, mn, mx in (t.left, t.right):
@@ -200,16 +221,14 @@ class SearchProof:
         if relation is None:
             raise WireError("unknown relation tag")
         key = r.u128()
-        found = r.u8() == 1
-        leaf = LeafRecord(r.u128(), r.take(32)) if found else None
-        steps = []
-        for _ in range(r.u16()):
-            steps.append(PathStep(r.u8(), r.u8(), r.u128(), r.u128(), r.take(32)))
+        found = r.flag()
+        leaf = LeafRecord.read_from(r) if found else None
+        steps = _read_steps(r)
         terminus = None
         if not found:
             kind = r.u8()
             if kind == 0:
-                terminus = Terminus(LeafRecord(r.u128(), r.take(32)), None, None)
+                terminus = Terminus(LeafRecord.read_from(r), None, None)
             elif kind == 1:
                 left = (r.take(32), r.u128(), r.u128())
                 right = (r.take(32), r.u128(), r.u128())
@@ -220,10 +239,7 @@ class SearchProof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SearchProof":
-        r = Reader(data)
-        proof = cls.read_from(r)
-        r.finish()
-        return proof
+        return decode(data, cls.read_from)
 
 
 @dataclass(slots=True)
@@ -241,17 +257,13 @@ class RangeSearchResult:
     empty_evidence: SearchProof | None = None  # ceil(lo) proof when the range is empty
 
     def to_bytes(self) -> bytes:
-        out = [u8(1), u128(self.lo), u128(self.hi), u8(1 if self.found else 0)]
+        out = [u8(1), u128(self.lo), u128(self.hi), flag(self.found)]
         if not self.found:
             out.append(self.empty_evidence.to_bytes())
             return b"".join(out)
         out.append(u16(len(self.leaves)))
-        for leaf in self.leaves:
-            out.extend((u128(leaf.key), leaf.payload))
-        for steps in (self.left_steps, self.right_steps):
-            out.append(u16(len(steps)))
-            for s in steps:
-                out.extend((u8(s.side), u8(s.height), u128(s.min_key), u128(s.max_key), s.hash))
+        out.extend(leaf.to_bytes() for leaf in self.leaves)
+        out.extend((_steps_bytes(self.left_steps), _steps_bytes(self.right_steps)))
         out.extend((u128(self.n_leaves), u128(self.left_index)))
         return b"".join(out)
 
@@ -260,24 +272,16 @@ class RangeSearchResult:
         if r.u8() != 1:
             raise WireError("unsupported range proof version")
         lo, hi = r.u128(), r.u128()
-        found = r.u8() == 1
-        if not found:
+        if not r.flag():
             return cls(lo, hi, False, [], [], [], 0, 0, SearchProof.read_from(r))
-        leaves = [LeafRecord(r.u128(), r.take(32)) for _ in range(r.u16())]
-        paths = []
-        for _ in range(2):
-            paths.append(
-                [PathStep(r.u8(), r.u8(), r.u128(), r.u128(), r.take(32)) for _ in range(r.u16())]
-            )
+        leaves = [LeafRecord.read_from(r) for _ in range(r.u16())]
+        left_steps, right_steps = _read_steps(r), _read_steps(r)
         n_leaves, left_index = r.u128(), r.u128()
-        return cls(lo, hi, True, leaves, paths[0], paths[1], n_leaves, left_index)
+        return cls(lo, hi, True, leaves, left_steps, right_steps, n_leaves, left_index)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RangeSearchResult":
-        r = Reader(data)
-        res = cls.read_from(r)
-        r.finish()
-        return res
+        return decode(data, cls.read_from)
 
 
 class DimTree:

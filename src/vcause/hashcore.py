@@ -13,7 +13,6 @@ All operations are pure; nothing here holds mutable state.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -30,7 +29,7 @@ from cryptography.hazmat.primitives.serialization import (
     load_pem_public_key,
 )
 
-from .wire import u64
+from .wire import Reader, WireError, bytes_lp, decode, node_ref, str_lp, u8, u64
 
 DIGEST_SIZE = 32
 
@@ -64,10 +63,12 @@ class MsetDigest:
         return self.value.to_bytes(MSET_BYTES, "big")
 
     @classmethod
+    def read_from(cls, r: Reader) -> "MsetDigest":
+        return cls(int.from_bytes(r.take(MSET_BYTES), "big"))
+
+    @classmethod
     def from_bytes(cls, data: bytes) -> "MsetDigest":
-        if len(data) != MSET_BYTES:
-            raise ValueError(f"MsetDigest must be {MSET_BYTES} bytes")
-        return cls(int.from_bytes(data, "big"))
+        return decode(data, cls.read_from)
 
 
 def _mset_element(elem: bytes) -> int:
@@ -98,32 +99,35 @@ def mset_hash_set(elems) -> MsetDigest:
 
 
 _EDGE_KIND_TAGS = {"temporal": 0, "dependency": 1}
-_EDGE_PACK = struct.Struct(">QQIQQIB")
-_LEN_PACK = struct.Struct(">I")
+_EDGE_KIND_BYTES = {k: u8(v) for k, v in _EDGE_KIND_TAGS.items()}
+_EDGE_KIND_FROM_TAG = {v: k for k, v in _EDGE_KIND_TAGS.items()}
 
 
-def encode_edge(edge, src, dst) -> bytes:
-    """Canonical injective encoding of an edge and its endpoint nodes.
+def edge_kind_bytes(kind: str) -> bytes:
+    return _EDGE_KIND_BYTES[kind]
 
-    Field order: src entity id, src timestamp, src seq, dst entity id,
-    dst timestamp, dst seq, edge kind, event type, payload. Fixed-width
-    big-endian integers plus length-prefixed variable fields make the
-    encoding prefix-free over the fixed field count.
+
+def read_edge_kind(r: Reader) -> str:
+    kind = _EDGE_KIND_FROM_TAG.get(r.u8())
+    if kind is None:
+        raise WireError("unknown edge kind")
+    return kind
+
+
+def encode_edge(edge, src_ref, dst_ref) -> bytes:
+    """Canonical injective encoding of an edge between two NodeRefs.
+
+    Field order: src NodeRef, dst NodeRef, edge kind, event type, payload.
+    Fixed-width big-endian integers plus length-prefixed variable fields
+    make the encoding prefix-free over the fixed field count.
     """
-    event_type = edge.event_type.encode("utf-8")
-    return b"".join(
-        (
-            _EDGE_PACK.pack(
-                src.entity_id, src.key.timestamp, src.key.seq,
-                dst.entity_id, dst.key.timestamp, dst.key.seq,
-                _EDGE_KIND_TAGS[edge.kind],
-            ),
-            _LEN_PACK.pack(len(event_type)),
-            event_type,
-            _LEN_PACK.pack(len(edge.payload)),
-            edge.payload,
-        )
-    )
+    return b"".join((
+        node_ref(src_ref),
+        node_ref(dst_ref),
+        edge_kind_bytes(edge.kind),
+        str_lp(edge.event_type),
+        bytes_lp(edge.payload),
+    ))
 
 
 class SignatureError(ValueError):

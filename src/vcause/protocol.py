@@ -16,9 +16,10 @@ import os
 from dataclasses import dataclass, field
 
 from . import causality
-from .accumulator import Accumulator, TimestampKey
+from .accumulator import Accumulator, TimestampKey, read_registry, registry_bytes
 from .commitment import Commitment, make_commitment
-from .hashcore import MsetDigest, mset_add
+from .dimtree import LeafRecord, OutOfOrderKey
+from .hashcore import MsetDigest, edge_kind_bytes, mset_add, read_edge_kind
 from .provgraph import (
     SEGMENTED,
     UNSEGMENTED,
@@ -27,8 +28,10 @@ from .provgraph import (
     Graph,
     NodeRef,
     VersionNode,
+    node_id_bytes,
+    read_node_id,
 )
-from .wire import Reader, WireError, bytes_lp, str_lp, u8, u32, u64
+from .wire import Reader, WireError, bytes_lp, node_ref, optional, seq, str_lp, u8, u32, u64
 
 _SNAP_MAGIC = b"VCSNAP1"
 
@@ -359,31 +362,21 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
 # -- snapshots ----------------------------------------------------------------
 
 
-def _write_node(out: list, node: VersionNode) -> None:
-    out.extend((u64(node.entity_id), node.key.to_bytes()))
-    out.append(u8(1 if node.is_terminal else 0))
-    if node.terminal_target is None:
-        out.append(u8(0))
-    else:
-        tid, tkey = node.terminal_target
-        out.extend((u8(1), u64(tid), u64(tkey >> 32), u32(tkey & 0xFFFFFFFF)))
-    out.extend((u64(node.tree_id + 1), u32(node.depth), u64(node.created_seq)))
-    out.extend((node.pi_in.to_bytes(), node.pi_out.to_bytes()))
+def _node_bytes(node: VersionNode) -> bytes:
+    return b"".join((
+        node_id_bytes(node.entity_id, node.key, node.is_terminal, node.terminal_target),
+        u64(node.tree_id + 1), u32(node.depth), u64(node.created_seq),
+        node.pi_in.to_bytes(), node.pi_out.to_bytes(),
+    ))
 
 
 def _read_node(r: Reader) -> VersionNode:
-    entity_id = r.u64()
-    key = TimestampKey.read_from(r)
-    is_terminal = r.u8() == 1
-    target = None
-    if r.u8() == 1:
-        tid = r.u64()
-        target = (tid, (r.u64() << 32) | r.u32())
+    entity_id, key, is_terminal, target = read_node_id(r)
     tree_id = r.u64() - 1
     depth = r.u32()
     created_seq = r.u64()
-    pi_in = MsetDigest.from_bytes(r.take(512))
-    pi_out = MsetDigest.from_bytes(r.take(512))
+    pi_in = MsetDigest.read_from(r)
+    pi_out = MsetDigest.read_from(r)
     node = VersionNode(entity_id, "", key, pi_in, pi_out, tree_id, depth,
                        is_terminal=is_terminal, terminal_target=target)
     node.created_seq = created_seq
@@ -400,35 +393,26 @@ def save_state(path: str, endpoint_id: str, epoch: int, state: EndpointState,
     out.extend((u8(_MODE_TAGS[g.mode]), u32(g.depth), u32(state.config.commit_interval)))
     out.append(str_lp(endpoint_id))
     out.append(u64(epoch))
-    out.append(u32(len(commitments)))
-    out.extend(bytes_lp(c.to_bytes()) for c in commitments)
+    out.append(seq(commitments, lambda c: bytes_lp(c.to_bytes())))
 
     out.extend((u64(g.last_ts), u64(g.event_count), u32(g.next_tree_id),
                 u32(g.next_terminal), u64(g._created_seq)))
-    out.append(u32(len(g.entity_exts)))
-    out.extend(str_lp(e) for e in g.entity_exts)
-    out.append(u32(len(g.nodes)))
-    for node in g.nodes.values():  # insertion order == creation order
-        _write_node(out, node)
+    out.append(registry_bytes(g.entity_exts))
+    out.append(seq(g.nodes.values(), _node_bytes))  # insertion order == creation order
     out.append(u32(len(g.edges)))
     for e in g.edges:
-        out.append(u8(0 if e.kind == "temporal" else 1))
-        for ref in (e.src_ref, e.dst_ref, e.seg_dst_ref):
-            out.extend((u64(ref[0]), u64(ref[1] >> 32), u32(ref[1] & 0xFFFFFFFF)))
+        out.append(edge_kind_bytes(e.kind))
+        out.extend(node_ref(ref) for ref in (e.src_ref, e.dst_ref, e.seg_dst_ref))
         out.extend((str_lp(e.event_type), u64(e.timestamp), bytes_lp(e.payload)))
 
     acc = state.acc
-    out.append(u32(len(acc.registry_order)))
-    out.extend(str_lp(e) for e in acc.registry_order)
-    committed = acc._committed_root is not None
-    out.append(u8(1 if committed else 0))
-    if committed:
-        out.append(acc._committed_root)
+    out.append(registry_bytes(acc.registry_order))
+    out.append(optional(acc._committed_root, bytes))
     for ext in acc.registry_order:
         tree = acc.locals[acc.registry[ext]]
         out.append(u32(len(tree.leaves)))
         for leaf in tree.leaves:
-            out.extend((u64(leaf.key >> 32), u32(leaf.key & 0xFFFFFFFF), leaf.payload))
+            out.extend((TimestampKey.from_encoded(leaf.key).to_bytes(), leaf.payload))
 
     blob = b"".join(out)
     tmp = path + ".tmp"
@@ -438,67 +422,77 @@ def save_state(path: str, endpoint_id: str, epoch: int, state: EndpointState,
 
 
 def load_state(path: str) -> tuple[str, int, EndpointState, list[Commitment]]:
+    """Inverse of save_state. The reloaded state is checked against the
+    signed commitments: every node's leaf digest must be its accumulator
+    leaf, and the rebuilt root must be the last commitment's root."""
     with open(path, "rb") as fh:
         r = Reader(fh.read())
     if r.take(len(_SNAP_MAGIC)) != _SNAP_MAGIC:
         raise WireError("not a state snapshot")
     if r.u8() != 1:
         raise WireError("unsupported snapshot version")
-    mode = _MODE_FROM_TAG[r.u8()]
+    mode = _MODE_FROM_TAG.get(r.u8())
+    if mode is None:
+        raise WireError("unknown graph mode tag")
     depth = r.u32()
     interval = r.u32()
     endpoint_id = r.str_lp()
     epoch = r.u64()
-    commitments = [Commitment.from_bytes(r.bytes_lp()) for _ in range(r.u32())]
+    commitments = r.seq(lambda r: Commitment.from_bytes(r.bytes_lp()))
 
     state = EndpointState(StateConfig(mode, depth, interval))
-    g = state.graph
-    g.last_ts = r.u64()
-    g.event_count = r.u64()
-    g.next_tree_id = r.u32()
-    g.next_terminal = r.u32()
-    g._created_seq = r.u64()
-    for _ in range(r.u32()):
-        g._entity_id(r.str_lp())
-    for _ in range(r.u32()):
-        node = _read_node(r)
-        node.entity_ext = g.entity_exts[node.entity_id]
-        g.nodes[node.ref] = node
-        g.versions[node.entity_id].append(node.key.encoded())
-        if not node.is_terminal:
-            g.latest[node.entity_id] = node.ref
-    for i in range(r.u32()):
-        kind = "temporal" if r.u8() == 0 else "dependency"
-        refs = []
-        for _ in range(3):
-            eid = r.u64()
-            refs.append((eid, (r.u64() << 32) | r.u32()))
-        edge = Edge(i, kind, refs[0], refs[1], refs[2], r.str_lp(), r.u64(), r.bytes_lp())
-        g.edges.append(edge)
-        g.nodes[edge.src_ref].out_edge_ids.append(i)
-        g.nodes[edge.dst_ref].in_edge_ids.append(i)
-        if g.mode == SEGMENTED:
-            g.nodes[edge.seg_dst_ref].seg_parent_edge = i
-    if g.mode == SEGMENTED:
-        for node in g.nodes.values():
-            if node.seg_parent_edge is None:
-                g.trees[node.tree_id] = node.ref
-
-    acc = state.acc
-    registry = [r.str_lp() for _ in range(r.u32())]
-    committed = r.u8() == 1
-    stored_root = r.take(32) if committed else None
-    from .dimtree import LeafRecord
-
-    for ext in registry:
-        internal = acc._assign_id(ext)
+    g, acc = state.graph, state.acc
+    try:
+        g.last_ts = r.u64()
+        g.event_count = r.u64()
+        g.next_tree_id = r.u32()
+        g.next_terminal = r.u32()
+        g._created_seq = r.u64()
+        for ext in read_registry(r):
+            g._entity_id(ext)
         for _ in range(r.u32()):
-            key = (r.u64() << 32) | r.u32()
-            acc.locals[internal].insert(LeafRecord(key, r.take(32)))
-            acc._dirty.add(internal)
+            node = _read_node(r)
+            node.entity_ext = g.entity_exts[node.entity_id]
+            g.nodes[node.ref] = node
+            g.versions[node.entity_id].append(node.key.encoded())
+            if not node.is_terminal:
+                g.latest[node.entity_id] = node.ref
+        for i in range(r.u32()):
+            kind = read_edge_kind(r)
+            refs = [r.node_ref() for _ in range(3)]
+            edge = Edge(i, kind, refs[0], refs[1], refs[2], r.str_lp(), r.u64(), r.bytes_lp())
+            g.edges.append(edge)
+            g.nodes[edge.src_ref].out_edge_ids.append(i)
+            g.nodes[edge.dst_ref].in_edge_ids.append(i)
+            if g.mode == SEGMENTED:
+                g.nodes[edge.seg_dst_ref].seg_parent_edge = i
+        if g.mode == SEGMENTED:
+            for node in g.nodes.values():
+                if node.seg_parent_edge is None:
+                    g.trees[node.tree_id] = node.ref
+        registry = read_registry(r)
+        stored_root = r.optional(lambda r: r.take(32))
+        for ext in registry:
+            internal = acc._assign_id(ext)
+            for _ in range(r.u32()):
+                key = TimestampKey.read_from(r).encoded()
+                acc.locals[internal].insert(LeafRecord(key, r.take(32)))
+                acc._dirty.add(internal)
+    except (KeyError, IndexError, OutOfOrderKey) as exc:
+        raise WireError(f"snapshot refers to a missing or misordered record: {exc!r}") from exc
     r.finish()
-    if committed:
-        root = acc.commit()
-        if root != stored_root:
-            raise WireError("snapshot accumulator root mismatch")
+
+    if registry != g.entity_exts:
+        raise WireError("snapshot registry differs from the graph's entities")
+    for entity_id, keys in g.versions.items():
+        leaves = acc.locals[entity_id].leaves
+        if [leaf.key for leaf in leaves] != keys:
+            raise WireError(f"entity {entity_id}: accumulator keys differ from graph versions")
+        for leaf in leaves:
+            if g.nodes[(entity_id, leaf.key)].leaf_digest() != leaf.payload:
+                raise WireError(f"node {(entity_id, leaf.key)}: leaf digest mismatch")
+    if stored_root != (commitments[-1].root if commitments else None):
+        raise WireError("snapshot root differs from the last commitment's root")
+    if stored_root is not None and acc.commit() != stored_root:
+        raise WireError("snapshot accumulator root mismatch")
     return endpoint_id, epoch, state, commitments

@@ -22,6 +22,7 @@ test and benchmark mode.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass, field
 
 from .accumulator import TimestampKey
@@ -33,11 +34,9 @@ from .hashcore import (
     mset_empty,
     mset_sub,
 )
+from .wire import Reader, flag, node_ref, optional, str_lp
 
-
-_NODE_PACK = __import__("struct").Struct(">QQIB")
-_TARGET_PACK = __import__("struct").Struct(">BQQI")
-_EXT_LEN_PACK = __import__("struct").Struct(">I")
+_NODE_ID_PACK = struct.Struct(">QQI")
 
 _NODE_TAG = b"vc:node\x00"
 _NLEAF_TAG = b"vc:node-leaf\x00"
@@ -57,10 +56,43 @@ NodeRef = tuple[int, int]  # (entity_id, encoded TimestampKey)
 
 def terminal_marker(is_terminal: bool, target: NodeRef | None) -> bytes:
     """Suffix binding terminal metadata into segment-view edge encodings."""
-    if not is_terminal:
-        return b"\x00"
-    tid, tkey = target
-    return _TARGET_PACK.pack(1, tid, tkey >> 32, tkey & 0xFFFFFFFF)
+    return optional(target if is_terminal else None, node_ref)
+
+
+_PLAIN_MARKER = terminal_marker(False, None)
+
+
+def node_id_bytes(
+    entity_id: int, key: TimestampKey, is_terminal: bool, target: NodeRef | None
+) -> bytes:
+    """Node identity as leaf preimages, wire records and snapshots carry it:
+    u64 entity_id || TimestampKey || flag is_terminal || optional NodeRef."""
+    head = _NODE_ID_PACK.pack(entity_id, key.timestamp, key.seq)
+    return head + flag(is_terminal) + optional(target, node_ref)
+
+
+def read_node_id(r: Reader) -> tuple[int, TimestampKey, bool, NodeRef | None]:
+    return r.u64(), TimestampKey.read_from(r), r.flag(), r.optional(Reader.node_ref)
+
+
+def node_leaf_digest(
+    entity_ext: str,
+    entity_id: int,
+    key: TimestampKey,
+    is_terminal: bool,
+    target: NodeRef | None,
+    pi_in: MsetDigest,
+    pi_out: MsetDigest,
+) -> bytes:
+    """Accumulator leaf payload: binds identity and both path digests."""
+    return hash_bytes(b"".join((
+        _NLEAF_TAG,
+        _NODE_TAG,
+        str_lp(entity_ext),
+        node_id_bytes(entity_id, key, is_terminal, target),
+        pi_in.to_bytes(),
+        pi_out.to_bytes(),
+    )))
 
 
 class ClockRegression(ValueError):
@@ -103,31 +135,10 @@ class VersionNode:
         if self.ref is None:
             self.ref = (self.entity_id, self.key.encoded())
 
-    def canonical_bytes(self) -> bytes:
-        ext = self.entity_ext.encode("utf-8")
-        if self.terminal_target is None:
-            tail = b"\x00"
-        else:
-            tid, tkey = self.terminal_target
-            tail = _TARGET_PACK.pack(1, tid, tkey >> 32, tkey & 0xFFFFFFFF)
-        return b"".join((
-            _NODE_TAG,
-            _EXT_LEN_PACK.pack(len(ext)),
-            ext,
-            _NODE_PACK.pack(
-                self.entity_id, self.key.timestamp, self.key.seq,
-                1 if self.is_terminal else 0,
-            ),
-            tail,
-        ))
-
     def leaf_digest(self) -> bytes:
-        """Accumulator leaf payload: binds identity and both path digests."""
-        return hash_bytes(
-            _NLEAF_TAG
-            + self.canonical_bytes()
-            + self.pi_in.to_bytes()
-            + self.pi_out.to_bytes()
+        return node_leaf_digest(
+            self.entity_ext, self.entity_id, self.key, self.is_terminal,
+            self.terminal_target, self.pi_in, self.pi_out,
         )
 
 
@@ -259,9 +270,7 @@ class Graph:
 
     def encode_edge_logical(self, edge: Edge) -> bytes:
         if edge._enc_logical is None:
-            edge._enc_logical = encode_edge(
-                edge, self.nodes[edge.src_ref], self.nodes[edge.dst_ref]
-            )
+            edge._enc_logical = encode_edge(edge, edge.src_ref, edge.dst_ref)
         return edge._enc_logical
 
     def encode_edge_seg(self, edge: Edge) -> bytes:
@@ -271,7 +280,7 @@ class Graph:
         if edge._enc_seg is None:
             dst = self.nodes[edge.seg_dst_ref]
             edge._enc_seg = encode_edge(
-                edge, self.nodes[edge.src_ref], dst
+                edge, edge.src_ref, edge.seg_dst_ref
             ) + terminal_marker(dst.is_terminal, dst.terminal_target)
         return edge._enc_seg
 
@@ -530,7 +539,7 @@ class Graph:
             touch(pred)
             # logical destinations are never terminals; the constant marker
             # keeps outgoing-digest elements uniform across modes
-            elem = self.encode_edge_logical(edge) + b"\x00" + node.pi_out.to_bytes()
+            elem = self.encode_edge_logical(edge) + _PLAIN_MARKER + node.pi_out.to_bytes()
             pred.pi_out = mset_add(pred.pi_out, elem)
 
         done: set[NodeRef] = set()
@@ -546,7 +555,7 @@ class Graph:
                 edge = self.edges[eid]
                 pred = self.nodes[edge.src_ref]
                 touch(pred)
-                enc = self.encode_edge_logical(edge) + b"\x00"
+                enc = self.encode_edge_logical(edge) + _PLAIN_MARKER
                 pred.pi_out = mset_add(
                     mset_sub(pred.pi_out, enc + old_bytes), enc + new_bytes
                 )

@@ -143,7 +143,7 @@ def recompute_pi_in(graph, ref) -> "hashcore.MsetDigest":
         for eid in node.in_edge_ids:
             edge = graph.edges[eid]
             src = graph.node(edge.src_ref)
-            enc = hashcore.encode_edge(edge, src, node)
+            enc = hashcore.encode_edge(edge, src.ref, node.ref)
             elems.append(enc + memo[edge.src_ref].to_bytes())
         memo[cur] = hashcore.mset_hash_set(elems)
     return memo[ref]
@@ -168,7 +168,7 @@ def recompute_pi_out(graph) -> dict:
                 for eid in node.out_edge_ids:
                     edge = graph.edges[eid]
                     dst = graph.node(edge.seg_dst_ref)
-                    enc = hashcore.encode_edge(edge, node, dst)
+                    enc = hashcore.encode_edge(edge, node.ref, dst.ref)
                     enc += terminal_marker(dst.is_terminal, dst.terminal_target)
                     elems.append(enc + memo[edge.seg_dst_ref].to_bytes())
                 memo[cur] = hashcore.mset_hash_set(elems)

@@ -181,6 +181,19 @@ class TestQueryVerify:
         assert json.loads(res.output.strip())["epoch"] == 4  # 600/200 + 1
 
 
+class TestMissingKey:
+    def test_state_without_key_fails_loudly(self, runner, tmp_path):
+        log = tmp_path / "log.jsonl"
+        run(runner, ["gen", "--seed", "4", "--events", "200", "--out", str(log)])
+        state = tmp_path / "state"
+        assert run(runner, ["-s", str(state), "ingest", str(log)]).exit_code == 0
+        (state / "key.pem").unlink()
+        res = runner.invoke(main, ["-s", str(state), "commit"])
+        assert res.exit_code == 1
+        assert "key.pem" in res.output
+        assert not (state / "key.pem").exists()
+
+
 class TestTamper:
     def test_tamper_demo_rejects(self, runner, tmp_path):
         log = tmp_path / "log.jsonl"

@@ -93,16 +93,9 @@ class TestMsetDigest:
             assert d.value != 0
 
 
-class _StubKey:
-    def __init__(self, timestamp, seq):
-        self.timestamp = timestamp
-        self.seq = seq
-
-
-class _StubNode:
-    def __init__(self, entity_id, timestamp, seq):
-        self.entity_id = entity_id
-        self.key = _StubKey(timestamp, seq)
+def _ref(entity_id, timestamp, seq):
+    """NodeRef: (entity id, encoded (timestamp, seq) key)."""
+    return entity_id, (timestamp << 32) | seq
 
 
 class _StubEdge:
@@ -116,8 +109,8 @@ class TestEncodeEdge:
     def _encode(self, kind="dependency", event_type="write", payload=b""):
         return hashcore.encode_edge(
             _StubEdge(kind, event_type, payload),
-            _StubNode(1, 10, 0),
-            _StubNode(2, 11, 3),
+            _ref(1, 10, 0),
+            _ref(2, 11, 3),
         )
 
     def test_deterministic(self):
@@ -145,8 +138,8 @@ class TestEncodeEdge:
         for _ in range(200):
             enc = hashcore.encode_edge(
                 _StubEdge("dependency", "t" * rng.randrange(0, 6), rng.randbytes(rng.randrange(0, 5))),
-                _StubNode(rng.randrange(4), rng.randrange(8), rng.randrange(2)),
-                _StubNode(rng.randrange(4), rng.randrange(8), rng.randrange(2)),
+                _ref(rng.randrange(4), rng.randrange(8), rng.randrange(2)),
+                _ref(rng.randrange(4), rng.randrange(8), rng.randrange(2)),
             )
             encs.add(enc)
         encs = sorted(encs)

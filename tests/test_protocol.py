@@ -9,6 +9,8 @@ from vcause.accumulator import Relation
 from vcause.causality import BOTH, CausalityQuery
 from vcause.commitment import Commitment
 from vcause.hashcore import KeyPair
+from vcause import protocol, wire
+from vcause.hashcore import MsetDigest
 from vcause.protocol import (
     Admin,
     Cloud,
@@ -23,6 +25,7 @@ from vcause.protocol import (
     tamper,
 )
 from vcause.provgraph import ClockRegression, EventRecord
+from vcause.wire import WireError
 
 from .helpers import simple_stream
 
@@ -271,3 +274,55 @@ class TestSnapshots:
         q = CausalityQuery("2", le(state.graph.last_ts), BOTH)
         bundle = analyze(state.graph, state.acc, commitments[-1], q)
         assert verify_bundle(logger.keypair.verify_key, q, bundle).accepted
+
+    def _saved(self, tmp_path, commitments=None):
+        rng = random.Random(13)
+        logger = make_logger(interval=50)
+        for e in simple_stream(rng, 120, 6):
+            logger.ingest(e)
+        if logger.state.events_since_commit:
+            logger.commit()
+        path = tmp_path / "state.bin"
+        kept = logger.commitments if commitments is None else commitments(logger.commitments)
+        save_state(str(path), "ep0", logger.epoch, logger.state, kept)
+        return logger, path
+
+    def test_unknown_mode_tag_is_wire_error(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[len(protocol._SNAP_MAGIC) + 1] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WireError):
+            load_state(str(path))
+
+    def test_unknown_edge_kind_is_wire_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(protocol, "edge_kind_bytes", lambda kind: b"\x09")
+        _, path = self._saved(tmp_path)
+        with pytest.raises(WireError):
+            load_state(str(path))
+
+    def test_edge_to_unknown_node_is_wire_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            protocol, "node_ref", lambda ref: wire.node_ref((ref[0] + 10**6, ref[1]))
+        )
+        _, path = self._saved(tmp_path)
+        with pytest.raises(WireError):
+            load_state(str(path))
+
+    def test_flipped_pi_out_fails_at_load(self, tmp_path):
+        logger, path = self._saved(tmp_path)
+        node = next(
+            n for n in logger.state.graph.nodes.values() if n.pi_out != MsetDigest(0)
+        )
+        blob = bytearray(path.read_bytes())
+        digest = node.pi_out.to_bytes()
+        assert blob.count(digest) == 1
+        blob[blob.find(digest) + 100] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WireError):
+            load_state(str(path))
+
+    def test_root_must_match_last_commitment(self, tmp_path):
+        _, path = self._saved(tmp_path, commitments=lambda cs: cs[:-1])
+        with pytest.raises(WireError):
+            load_state(str(path))
