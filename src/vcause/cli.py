@@ -138,19 +138,32 @@ def _save_endpoint(cli, logger: protocol.EndpointLogger) -> None:
     _write_commitment_log(cli, logger.commitments)
 
 
-def _load_endpoint(cli) -> protocol.EndpointLogger:
+def _read_vk(cli):
+    try:
+        with open(cli.path("key.pub.pem"), "rb") as fh:
+            return load_public_pem(fh.read())
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"cannot load the endpoint's public key: {exc}")
+
+
+def _load_snapshot(cli, vk) -> tuple[str, int, protocol.EndpointState, list]:
+    """Load state.bin; its commitments must verify under vk."""
     snap = cli.path("state.bin")
     if not os.path.exists(snap):
         raise click.ClickException(f"no state snapshot in {cli.state_dir}; run ingest first")
+    try:
+        return protocol.load_state(snap, vk)
+    except WireError as exc:
+        raise click.ClickException(f"corrupt state snapshot {snap}: {exc}")
+
+
+def _load_endpoint(cli) -> protocol.EndpointLogger:
     if not os.path.exists(cli.path("key.pem")):
         # a fresh key would sign new epochs that no administrator trusts
         raise click.ClickException(
-            f"{cli.path('key.pem')} is missing; the endpoint key of {snap} is required"
+            f"{cli.path('key.pem')} is missing; the endpoint key is required to sign"
         )
-    try:
-        endpoint_id, epoch, state, commitments = protocol.load_state(snap)
-    except WireError as exc:
-        raise click.ClickException(f"corrupt state snapshot {snap}: {exc}")
+    endpoint_id, epoch, state, commitments = _load_snapshot(cli, _read_vk(cli))
     logger = protocol.EndpointLogger(endpoint_id, _read_keys(cli), state.config)
     logger.state = state
     logger.epoch = epoch
@@ -244,11 +257,9 @@ def _parse_query(entity, at, relation, direction) -> CausalityQuery:
 @click.pass_obj
 def query(cli, entity, at, relation, direction, out):
     """Run a causality query; write the proof bundle and a summary."""
-    logger = _load_endpoint(cli)
+    _, _, state, commitments = _load_snapshot(cli, _read_vk(cli))
     q = _parse_query(entity, at, relation, direction)
-    bundle = causality.analyze(
-        logger.state.graph, logger.state.acc, logger.commitments[-1], q
-    )
+    bundle = causality.analyze(state.graph, state.acc, commitments[-1], q)
     blob = bundle.to_bytes()
     out = out or cli.path("bundle.bin")
     with open(out, "wb") as fh:
@@ -335,17 +346,18 @@ def verify(cli, bundle_path, vk, entity, at, relation, direction, min_epoch):
 @click.pass_obj
 def tamper(cli, kind, seed):
     """Apply a mutation to the cloud state and show the rejection."""
-    logger = _load_endpoint(cli)
-    latest_epoch = logger.commitments[-1].epoch
-    ep = protocol.CloudEndpoint(logger.state, [], list(logger.commitments))
+    vk = _read_vk(cli)
+    _, _, state, commitments = _load_snapshot(cli, vk)
+    latest_epoch = commitments[-1].epoch
+    ep = protocol.CloudEndpoint(state, [], list(commitments))
     rng = random.Random(seed)
     try:
         receipt = protocol.tamper(ep, kind, rng)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     if receipt.entity_ext is None:
-        ext = logger.state.graph.entity_exts[0]
-        q = CausalityQuery(ext, Relation(acc_mod.REL_LE, logger.state.graph.last_ts), "both")
+        ext = state.graph.entity_exts[0]
+        q = CausalityQuery(ext, Relation(acc_mod.REL_LE, state.graph.last_ts), "both")
     else:
         q = CausalityQuery(receipt.entity_ext, Relation(acc_mod.REL_LE, receipt.timestamp), "both")
     try:
@@ -357,7 +369,7 @@ def tamper(cli, kind, seed):
             f"{receipt.description}: detected during analysis ({exc})",
         )
         return
-    report = protocol.admin_verify(logger.keypair.verify_key, q, bundle, latest_epoch)
+    report = protocol.admin_verify(vk, q, bundle, latest_epoch)
     detected = not report.accepted
     cli.emit(
         {"tamper": receipt.description, "detected": detected,

@@ -143,19 +143,18 @@ class PathStep:
     """One sibling on the root-to-terminus walk."""
 
     side: int  # SIDE_LEFT or SIDE_RIGHT: where the sibling sits
-    height: int
     min_key: int
     max_key: int
     hash: bytes
 
     def to_bytes(self) -> bytes:
         return b"".join((
-            u8(self.side), u8(self.height), u128(self.min_key), u128(self.max_key), self.hash
+            u8(self.side), u128(self.min_key), u128(self.max_key), self.hash
         ))
 
     @classmethod
     def read_from(cls, r: Reader) -> "PathStep":
-        return cls(r.u8(), r.u8(), r.u128(), r.u128(), r.take(32))
+        return cls(r.u8(), r.u128(), r.u128(), r.take(32))
 
 
 def _steps_bytes(steps: list[PathStep]) -> bytes:
@@ -398,7 +397,7 @@ class DimTree:
 
     @staticmethod
     def _step_for(node: _Node, side: int) -> PathStep:
-        return PathStep(side, node.height, node.min_key, node.max_key, node.hash)
+        return PathStep(side, node.min_key, node.max_key, node.hash)
 
     def search_exact(self, key: int) -> SearchProof:
         return self.search(REL_EXACT, key)
@@ -599,7 +598,7 @@ class _RangeReplay:
         self.right_queue = list(result.right_steps)  # consumed deepest-first (from the end)
         self.next_leaf = 0
 
-    def _consume_pruned(self, lo: int, hi: int, height: int):
+    def _consume_pruned(self, hi: int):
         if hi <= self.il:
             if not self.left_queue:
                 raise WireError("left path exhausted")
@@ -612,14 +611,12 @@ class _RangeReplay:
             step = self.right_queue.pop()
             if step.side != SIDE_RIGHT:
                 raise WireError("right path has wrong side")
-        if step.height != height:
-            raise WireError("sibling height mismatch")
         return step.hash, step.min_key, step.max_key
 
     def perfect(self, height: int, lo: int):
         hi = lo + (1 << (height - 1))
         if hi <= self.il or lo > self.ir:
-            return self._consume_pruned(lo, hi, height)
+            return self._consume_pruned(hi)
         if height == 1:
             leaf = self.res.leaves[self.next_leaf]
             self.next_leaf += 1
@@ -635,7 +632,7 @@ class _RangeReplay:
         size_left = 1 << (heights[i] - 1)
         span = self.res.n_leaves - lo
         if lo + span <= self.il or lo > self.ir:
-            return self._consume_pruned(lo, lo + span, heights[i] + 1)
+            return self._consume_pruned(lo + span)
         lh, lmin, lmax = self.perfect(heights[i], lo)
         rh, rmin, rmax = self.fold(heights, i + 1, lo + size_left)
         return _internal_hash(lh, rh, lmin, lmax, rmin, rmax), lmin, rmax

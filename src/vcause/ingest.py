@@ -39,8 +39,9 @@ def _event_from_obj(obj, line_no: int) -> EventRecord:
         raise ParseError(line_no, "src must be a non-empty string")
     if not isinstance(dst, str) or not dst:
         raise ParseError(line_no, "dst must be a non-empty string")
+    # ids are length-prefixed everywhere; a NUL in one marks a capture fault
     if "\x00" in src or "\x00" in dst:
-        raise ParseError(line_no, "NUL bytes are reserved in entity ids")
+        raise ParseError(line_no, "entity ids must not contain NUL bytes")
     if not isinstance(action, str):
         raise ParseError(line_no, "action must be a string")
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:

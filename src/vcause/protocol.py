@@ -16,12 +16,13 @@ import os
 from dataclasses import dataclass, field
 
 from . import causality
-from .accumulator import Accumulator, TimestampKey, read_registry, registry_bytes
+from .accumulator import Accumulator, EntityIdMismatch, TimestampKey, read_registry, registry_bytes
 from .commitment import Commitment, make_commitment
-from .dimtree import LeafRecord, OutOfOrderKey
-from .hashcore import MsetDigest, edge_kind_bytes, mset_add, read_edge_kind
+from .dimtree import OutOfOrderKey
+from .hashcore import MsetDigest, edge_kind_bytes, mset_add, mset_empty, read_edge_kind
 from .provgraph import (
     SEGMENTED,
+    STUB_ID_BIT,
     UNSEGMENTED,
     Edge,
     EventRecord,
@@ -31,9 +32,10 @@ from .provgraph import (
     node_id_bytes,
     read_node_id,
 )
-from .wire import Reader, WireError, bytes_lp, node_ref, optional, seq, str_lp, u8, u32, u64
+from .wire import Reader, WireError, bytes_lp, node_ref, seq, str_lp, u8, u32, u64
 
 _SNAP_MAGIC = b"VCSNAP1"
+_SNAP_VERSION = 2
 
 _MODE_TAGS = {SEGMENTED: 0, UNSEGMENTED: 1}
 _MODE_FROM_TAG = {v: k for k, v in _MODE_TAGS.items()}
@@ -81,8 +83,9 @@ class EndpointState:
     def apply_event(self, ev: EventRecord) -> None:
         res = self.graph.record_event(ev)
         for node in res.created:
-            self.pending_new.append(node.ref)
-            self._pending_new_set.add(node.ref)
+            if not node.is_terminal:  # stubs are bound by their parent's digest
+                self.pending_new.append(node.ref)
+                self._pending_new_set.add(node.ref)
         for ref in sorted(res.updated):
             if ref not in self._pending_new_set:
                 self.pending_dirty[ref] = None
@@ -363,40 +366,39 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
 
 
 def _node_bytes(node: VersionNode) -> bytes:
-    return b"".join((
+    out = [
         node_id_bytes(node.entity_id, node.key, node.is_terminal, node.terminal_target),
-        u64(node.tree_id + 1), u32(node.depth), u64(node.created_seq),
-        node.pi_in.to_bytes(), node.pi_out.to_bytes(),
-    ))
+        u64(node.tree_id + 1), u32(node.depth),
+    ]
+    if not node.is_terminal:  # stubs are digest-empty
+        out.extend((node.pi_in.to_bytes(), node.pi_out.to_bytes()))
+    return b"".join(out)
 
 
 def _read_node(r: Reader) -> VersionNode:
     entity_id, key, is_terminal, target = read_node_id(r)
     tree_id = r.u64() - 1
     depth = r.u32()
-    created_seq = r.u64()
-    pi_in = MsetDigest.read_from(r)
-    pi_out = MsetDigest.read_from(r)
-    node = VersionNode(entity_id, "", key, pi_in, pi_out, tree_id, depth,
+    pi_in = pi_out = mset_empty()
+    if not is_terminal:  # stubs are digest-empty
+        pi_in, pi_out = MsetDigest.read_from(r), MsetDigest.read_from(r)
+    return VersionNode(entity_id, "", key, pi_in, pi_out, tree_id, depth,
                        is_terminal=is_terminal, terminal_target=target)
-    node.created_seq = created_seq
-    return node
 
 
 def save_state(path: str, endpoint_id: str, epoch: int, state: EndpointState,
                commitments: list[Commitment]) -> None:
-    """Versioned binary snapshot of one endpoint's reconstructed state."""
+    """Versioned binary snapshot of one endpoint's graph; load rebuilds the rest."""
     if not state.quiescent:
         raise PendingChanges("flush before snapshotting")
     g = state.graph
-    out: list[bytes] = [_SNAP_MAGIC, u8(1)]
+    out: list[bytes] = [_SNAP_MAGIC, u8(_SNAP_VERSION)]
     out.extend((u8(_MODE_TAGS[g.mode]), u32(g.depth), u32(state.config.commit_interval)))
     out.append(str_lp(endpoint_id))
     out.append(u64(epoch))
     out.append(seq(commitments, lambda c: bytes_lp(c.to_bytes())))
 
-    out.extend((u64(g.last_ts), u64(g.event_count), u32(g.next_tree_id),
-                u32(g.next_terminal), u64(g._created_seq)))
+    out.extend((u64(g.last_ts), u64(g.event_count), u32(g.next_tree_id)))
     out.append(registry_bytes(g.entity_exts))
     out.append(seq(g.nodes.values(), _node_bytes))  # insertion order == creation order
     out.append(u32(len(g.edges)))
@@ -405,15 +407,6 @@ def save_state(path: str, endpoint_id: str, epoch: int, state: EndpointState,
         out.extend(node_ref(ref) for ref in (e.src_ref, e.dst_ref, e.seg_dst_ref))
         out.extend((str_lp(e.event_type), u64(e.timestamp), bytes_lp(e.payload)))
 
-    acc = state.acc
-    out.append(registry_bytes(acc.registry_order))
-    out.append(optional(acc._committed_root, bytes))
-    for ext in acc.registry_order:
-        tree = acc.locals[acc.registry[ext]]
-        out.append(u32(len(tree.leaves)))
-        for leaf in tree.leaves:
-            out.extend((TimestampKey.from_encoded(leaf.key).to_bytes(), leaf.payload))
-
     blob = b"".join(out)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -421,15 +414,16 @@ def save_state(path: str, endpoint_id: str, epoch: int, state: EndpointState,
     os.replace(tmp, path)
 
 
-def load_state(path: str) -> tuple[str, int, EndpointState, list[Commitment]]:
-    """Inverse of save_state. The reloaded state is checked against the
-    signed commitments: every node's leaf digest must be its accumulator
-    leaf, and the rebuilt root must be the last commitment's root."""
+def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]]:
+    """Inverse of save_state. Every stored commitment must verify under vk
+    and name the snapshot's endpoint. The accumulator is rebuilt from the
+    graph's non-terminal nodes, and its root must be the last commitment's
+    root: that one check covers every node's identity and both digests."""
     with open(path, "rb") as fh:
         r = Reader(fh.read())
     if r.take(len(_SNAP_MAGIC)) != _SNAP_MAGIC:
         raise WireError("not a state snapshot")
-    if r.u8() != 1:
+    if r.u8() != _SNAP_VERSION:
         raise WireError("unsupported snapshot version")
     mode = _MODE_FROM_TAG.get(r.u8())
     if mode is None:
@@ -439,24 +433,29 @@ def load_state(path: str) -> tuple[str, int, EndpointState, list[Commitment]]:
     endpoint_id = r.str_lp()
     epoch = r.u64()
     commitments = r.seq(lambda r: Commitment.from_bytes(r.bytes_lp()))
+    for c in commitments:
+        if c.endpoint_id != endpoint_id or not c.verify(vk):
+            raise WireError(f"commitment of epoch {c.epoch} is not signed for {endpoint_id!r}")
 
     state = EndpointState(StateConfig(mode, depth, interval))
-    g, acc = state.graph, state.acc
+    g = state.graph
     try:
         g.last_ts = r.u64()
         g.event_count = r.u64()
         g.next_tree_id = r.u32()
-        g.next_terminal = r.u32()
-        g._created_seq = r.u64()
         for ext in read_registry(r):
             g._entity_id(ext)
         for _ in range(r.u32()):
             node = _read_node(r)
-            node.entity_ext = g.entity_exts[node.entity_id]
-            g.nodes[node.ref] = node
-            g.versions[node.entity_id].append(node.key.encoded())
-            if not node.is_terminal:
+            if node.is_terminal:
+                if node.entity_id != STUB_ID_BIT | g.next_terminal:
+                    raise WireError(f"stub {node.ref} out of sequence")
+                g.next_terminal += 1
+            else:
+                node.entity_ext = g.entity_exts[node.entity_id]
                 g.latest[node.entity_id] = node.ref
+                state.pending_new.append(node.ref)
+            g._add_node(node)
         for i in range(r.u32()):
             kind = read_edge_kind(r)
             refs = [r.node_ref() for _ in range(3)]
@@ -464,35 +463,21 @@ def load_state(path: str) -> tuple[str, int, EndpointState, list[Commitment]]:
             g.edges.append(edge)
             g.nodes[edge.src_ref].out_edge_ids.append(i)
             g.nodes[edge.dst_ref].in_edge_ids.append(i)
+            # the segment-view destination is the destination or its stub;
+            # stubs have no leaf, so this binds their target at load
+            seg_dst = g.nodes[edge.seg_dst_ref]
+            if (seg_dst.terminal_target if seg_dst.is_terminal else seg_dst.ref) != edge.dst_ref:
+                raise WireError(f"edge {i}: segment-view destination stands for another node")
             if g.mode == SEGMENTED:
-                g.nodes[edge.seg_dst_ref].seg_parent_edge = i
+                seg_dst.seg_parent_edge = i
+        r.finish()
         if g.mode == SEGMENTED:
             for node in g.nodes.values():
                 if node.seg_parent_edge is None:
                     g.trees[node.tree_id] = node.ref
-        registry = read_registry(r)
-        stored_root = r.optional(lambda r: r.take(32))
-        for ext in registry:
-            internal = acc._assign_id(ext)
-            for _ in range(r.u32()):
-                key = TimestampKey.read_from(r).encoded()
-                acc.locals[internal].insert(LeafRecord(key, r.take(32)))
-                acc._dirty.add(internal)
-    except (KeyError, IndexError, OutOfOrderKey) as exc:
+        root = state.flush() if state.pending_new else None
+        if root != (commitments[-1].root if commitments else None):
+            raise WireError("rebuilt accumulator root differs from the last commitment's root")
+    except (KeyError, IndexError, EntityIdMismatch, OutOfOrderKey) as exc:
         raise WireError(f"snapshot refers to a missing or misordered record: {exc!r}") from exc
-    r.finish()
-
-    if registry != g.entity_exts:
-        raise WireError("snapshot registry differs from the graph's entities")
-    for entity_id, keys in g.versions.items():
-        leaves = acc.locals[entity_id].leaves
-        if [leaf.key for leaf in leaves] != keys:
-            raise WireError(f"entity {entity_id}: accumulator keys differ from graph versions")
-        for leaf in leaves:
-            if g.nodes[(entity_id, leaf.key)].leaf_digest() != leaf.payload:
-                raise WireError(f"node {(entity_id, leaf.key)}: leaf digest mismatch")
-    if stored_root != (commitments[-1].root if commitments else None):
-        raise WireError("snapshot root differs from the last commitment's root")
-    if stored_root is not None and acc.commit() != stored_root:
-        raise WireError("snapshot accumulator root mismatch")
     return endpoint_id, epoch, state, commitments

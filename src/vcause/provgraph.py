@@ -47,9 +47,10 @@ UNSEGMENTED = "unsegmented"
 TEMPORAL = "temporal"
 DEPENDENCY = "dependency"
 
-# Reserved entity namespace for terminal stubs; ingest rejects NUL bytes in
-# real entity ids, so no collision is possible.
-_TERMINAL_PREFIX = "\x00term\x00"
+# Terminal stubs take entity ids from their own space, the top bit of the
+# u64 id: stub N is STUB_ID_BIT | N. Real entity ids stay dense (0..N-1),
+# so the two spaces never meet and NodeRefs keep their layout.
+STUB_ID_BIT = 1 << 63
 
 NodeRef = tuple[int, int]  # (entity_id, encoded TimestampKey)
 
@@ -307,7 +308,8 @@ class Graph:
         node.created_seq = self._created_seq
         self._created_seq += 1
         self.nodes[node.ref] = node
-        self.versions[node.entity_id].append(node.key.encoded())
+        if not node.is_terminal:
+            self.versions[node.entity_id].append(node.key.encoded())
         return node
 
     def _new_tree(self, root_ref: NodeRef) -> int:
@@ -333,12 +335,12 @@ class Graph:
         return node
 
     def _create_terminal(self, target: VersionNode, ts: int) -> VersionNode:
-        ext = f"{_TERMINAL_PREFIX}{self.next_terminal}"
+        """A graph-only stub: no entity entry, no version, no accumulator leaf."""
+        entity_id = STUB_ID_BIT | self.next_terminal
         self.next_terminal += 1
-        entity_id = self._entity_id(ext)
         node = VersionNode(
             entity_id,
-            ext,
+            "",
             TimestampKey(ts, 0),
             mset_empty(),
             mset_empty(),
@@ -369,8 +371,8 @@ class Graph:
         updated: set[NodeRef] = set()
 
         # Entity ids are assigned at first node creation, in creation order,
-        # so the accumulator's dense registry matches when nodes are
-        # registered in `created` order.
+        # so the accumulator's dense registry matches when non-terminal
+        # nodes are registered in `created` order.
         if ev.src == ev.dst:
             dst_id = self._entity_id(ev.dst)
             if dst_id not in self.latest:

@@ -21,7 +21,7 @@ from vcause.causality import (
     verify_forward,
 )
 from vcause.hashcore import KeyPair, MsetDigest, mset_add
-from vcause.provgraph import EventRecord
+from vcause.provgraph import STUB_ID_BIT, EventRecord
 
 from .helpers import backward_reachable, build_pipeline, forward_reachable, simple_stream
 
@@ -206,6 +206,16 @@ class TestVerifyForward:
 
     def test_honest_accepts(self):
         _, kp, q, bundle = self._bundle()
+        report = verify_bundle(kp.verify_key, q, bundle)
+        assert report.accepted, report.first_failure
+
+    def test_stubs_with_top_bit_ids_accepted(self):
+        _, kp, q, bundle = self._bundle()
+        bundle = ProofBundle.from_bytes(bundle.to_bytes())
+        nodes = [n for seg in bundle.forward_segments for n in seg.nodes]
+        stubs = [n for n in nodes if n.is_terminal]
+        assert stubs and all(n.entity_id & STUB_ID_BIT for n in stubs)
+        assert not any(n.entity_id & STUB_ID_BIT for n in nodes if not n.is_terminal)
         report = verify_bundle(kp.verify_key, q, bundle)
         assert report.accepted, report.first_failure
 

@@ -182,16 +182,36 @@ class TestQueryVerify:
 
 
 class TestMissingKey:
-    def test_state_without_key_fails_loudly(self, runner, tmp_path):
+    @pytest.fixture
+    def state(self, runner, tmp_path):
         log = tmp_path / "log.jsonl"
         run(runner, ["gen", "--seed", "4", "--events", "200", "--out", str(log)])
         state = tmp_path / "state"
         assert run(runner, ["-s", str(state), "ingest", str(log)]).exit_code == 0
+        return state
+
+    def test_state_without_key_fails_loudly(self, runner, state):
         (state / "key.pem").unlink()
         res = runner.invoke(main, ["-s", str(state), "commit"])
         assert res.exit_code == 1
         assert "key.pem" in res.output
         assert not (state / "key.pem").exists()
+
+    def test_query_needs_only_the_public_key(self, runner, state, tmp_path):
+        (state / "key.pem").unlink()
+        bundle = tmp_path / "bundle.bin"
+        res = runner.invoke(main, ["-s", str(state), "query", "e1", "--at", "999999",
+                                   "--out", str(bundle)])
+        assert res.exit_code == 0, res.output
+        vres = runner.invoke(main, ["-s", str(state), "verify", str(bundle)])
+        assert vres.exit_code == 0, vres.output
+        assert not (state / "key.pem").exists()
+
+    def test_query_without_public_key_fails_loudly(self, runner, state):
+        (state / "key.pub.pem").unlink()
+        res = runner.invoke(main, ["-s", str(state), "query", "e1", "--at", "999999"])
+        assert res.exit_code == 1
+        assert "public key" in res.output
 
 
 class TestTamper:

@@ -1,7 +1,6 @@
 """Shared record codecs: strict flags, NodeRefs, canonical bundles and
 byte-identical formats."""
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -17,10 +16,11 @@ from vcause.wire import Reader, WireError, decode, flag, node_ref
 
 from .test_accumulator import fill
 
-# SHA3-256 of the golden bundle and snapshot below, as the format stood
-# before the record codecs were folded into one owner each.
-GOLDEN_BUNDLE_SHA3 = "39f517a31c7f17b6ce43ffb8751896f3159c6e1fbb74eeffdd5381156b4f48ac"
-GOLDEN_SNAPSHOT_SHA3 = "ca4e0598e1996c4013693db701eb187c330008aedb553e7f131832ee1dbf41cd"
+# SHA3-256 of the golden bundle and snapshot below: terminal stubs carry
+# top-bit entity ids, search steps carry no height, and the snapshot
+# stores the graph alone, without stub digests.
+GOLDEN_BUNDLE_SHA3 = "3e03179ea28afd3f8a13c15469e833937408861474cf67a65c897ebfa7a99cc0"
+GOLDEN_SNAPSHOT_SHA3 = "0ea88814f9517f9f7b21294f99045edb6db16f0155c531290fddaab2cbca94f5"
 
 
 def fixed_keypair() -> KeyPair:
@@ -107,39 +107,24 @@ class TestGoldenBytes:
         assert hashlib.sha3_256(path.read_bytes()).hexdigest() == GOLDEN_SNAPSHOT_SHA3
 
 
-def _without_step_heights(bundle: ProofBundle) -> bytes:
-    """Bundle bytes with every search-proof step height zeroed."""
-
-    def strip(proof):
-        if proof is not None:
-            proof.steps = [dataclasses.replace(s, height=0) for s in proof.steps]
-
-    node_proofs = [bundle.poi_proof]
-    node_proofs += [e.node_proof for e in bundle.root_proofs or [] if e.node_proof]
-    for res in node_proofs:
-        strip(res.proof.global_proof)
-        strip(res.proof.local_proof)
-    for entry in bundle.root_proofs or []:
-        if entry.range_proof is not None:
-            strip(entry.range_proof.global_proof)
-    return bundle.to_bytes()
-
-
 @pytest.fixture(scope="module")
-def accepted_mutants():
-    """Set every 0 or 1 byte of a small honest `both` bundle to 2, one at a
-    time; return the offsets of the mutants the administrator accepts,
-    split into step-height-only changes and all others."""
+def honest_bundle():
     logger = synth_logger(seed=5, n_events=30, n_entities=5, interval=10**9)
     q = CausalityQuery("e2", le(logger.state.graph.last_ts // 2), BOTH)
     blob = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q).to_bytes()
     admin = Admin()
     admin.register_endpoint("ep0", logger.keypair.verify_key)
     assert admin.verify(q, ProofBundle.from_bytes(blob)).accepted
-    baseline = _without_step_heights(ProofBundle.from_bytes(blob))
-    heights, others = [], []
+    return q, blob, admin
+
+
+def test_bundle_is_canonical(honest_bundle):
+    """Set every 0 or 1 byte of a small honest `both` bundle to 2, one at a
+    time: each mutant must fail to parse or be rejected."""
+    q, blob, admin = honest_bundle
     candidates = [i for i, b in enumerate(blob) if b in (0, 1)]
     assert len(candidates) > 1000
+    accepted = []
     for i in candidates:
         mutant = bytearray(blob)
         mutant[i] = 2
@@ -148,20 +133,15 @@ def accepted_mutants():
         except WireError:
             continue
         if admin.verify(q, bundle).accepted:
-            same = _without_step_heights(ProofBundle.from_bytes(bytes(mutant))) == baseline
-            (heights if same else others).append(i)
-    return heights, others
+            accepted.append(i)
+    assert accepted == []
 
 
-def test_bundle_is_canonical(accepted_mutants):
-    _, others = accepted_mutants
-    assert others == []
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="PathStep.height is neither hashed nor checked in search proofs",
-)
-def test_search_step_heights_are_canonical(accepted_mutants):
-    heights, _ = accepted_mutants
-    assert heights == []
+def test_search_step_heights_are_canonical(honest_bundle):
+    """A search-path step carries only hashed fields: side, key interval
+    and hash, with no height byte beside them."""
+    _, blob, _ = honest_bundle
+    proof = ProofBundle.from_bytes(blob).poi_proof.proof
+    steps = proof.global_proof.steps + proof.local_proof.steps
+    assert steps
+    assert all(len(step.to_bytes()) == 1 + 16 + 16 + 32 for step in steps)

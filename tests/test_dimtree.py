@@ -238,7 +238,7 @@ class TestVerifyPath:
         s = proof.steps[1]
         bad = bytearray(s.hash)
         bad[0] ^= 1
-        proof.steps[1] = PathStep(s.side, s.height, s.min_key, s.max_key, bytes(bad))
+        proof.steps[1] = PathStep(s.side, s.min_key, s.max_key, bytes(bad))
         assert not verify_path(t.root, "le", 9, proof)
 
     def test_every_field_mutation_rejected(self):
@@ -262,25 +262,21 @@ class TestVerifyPath:
         p.leaf = LeafRecord(p.leaf.key + 1, p.leaf.payload)
         assert not verify_path(root, "le", 20, p)
         for i in range(len(base.steps)):
-            for fld in ("side", "height", "min_key", "max_key", "hash"):
+            for fld in ("side", "min_key", "max_key", "hash"):
                 p = clone()
                 s = p.steps[i]
                 vals = {
                     "side": 1 - s.side,
-                    "height": s.height + 1,
                     "min_key": s.min_key + 1,
                     "max_key": s.max_key + 1,
                     "hash": bytes([s.hash[0] ^ 0x80]) + s.hash[1:],
                 }
                 p.steps[i] = PathStep(
                     vals["side"] if fld == "side" else s.side,
-                    vals["height"] if fld == "height" else s.height,
                     vals["min_key"] if fld == "min_key" else s.min_key,
                     vals["max_key"] if fld == "max_key" else s.max_key,
                     vals["hash"] if fld == "hash" else s.hash,
                 )
-                if fld == "height":
-                    continue  # height is carried for the wire, not hashed
                 assert not verify_path(root, "le", 20, p), (i, fld)
 
     def test_replay_valid_member_as_floor_rejected(self):

@@ -6,7 +6,7 @@ import pytest
 
 from vcause import accumulator as acc_mod
 from vcause.accumulator import Relation
-from vcause.causality import BOTH, CausalityQuery
+from vcause.causality import BOTH, CausalityQuery, analyze
 from vcause.commitment import Commitment
 from vcause.hashcore import KeyPair
 from vcause import protocol, wire
@@ -24,7 +24,8 @@ from vcause.protocol import (
     save_state,
     tamper,
 )
-from vcause.provgraph import ClockRegression, EventRecord
+from vcause.ingest import SynthConfig, synth
+from vcause.provgraph import STUB_ID_BIT, ClockRegression, EventRecord
 from vcause.wire import WireError
 
 from .helpers import simple_stream
@@ -106,6 +107,47 @@ class TestLogger:
         logger.ingest(EventRecord("a", "w", "b", 10))
         with pytest.raises(ClockRegression):
             logger.ingest(EventRecord("a", "w", "b", 9))
+
+
+class TestTerminalStubs:
+    """Stubs are graph-only: the registry and the accumulator hold exactly
+    the real entities and their versions."""
+
+    @pytest.fixture(scope="class")
+    def logger(self):
+        logger = make_logger(interval=500)
+        for e in synth(SynthConfig(seed=7, n_events=2000, n_entities=200)):
+            logger.ingest(e)
+        if logger.state.events_since_commit:
+            logger.commit()
+        return logger
+
+    def test_accumulator_holds_only_real_nodes(self, logger):
+        graph, acc = logger.state.graph, logger.state.acc
+        stubs = [n for n in graph.nodes.values() if n.is_terminal]
+        assert stubs and all(n.entity_id & STUB_ID_BIT for n in stubs)
+        assert acc.registry_order == graph.entity_exts
+        leaves = sum(len(tree.leaves) for tree in acc.locals.values())
+        assert leaves == len(graph.nodes) - len(stubs)
+
+    def test_unknown_entity_registry_lists_only_real_entities(self, logger):
+        q = CausalityQuery("no-such-entity", le(logger.state.graph.last_ts), BOTH)
+        bundle = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q)
+        assert bundle.poi_proof.proof.registry == logger.state.graph.entity_exts
+        admin = Admin()
+        admin.register_endpoint("ep0", logger.keypair.verify_key)
+        report = admin.verify(q, bundle)
+        assert report.accepted and report.provably_empty
+
+    def test_snapshot_stores_no_accumulator_leaves(self, logger, tmp_path):
+        path = tmp_path / "state.bin"
+        save_state(str(path), "ep0", logger.epoch, logger.state, logger.commitments)
+        blob = path.read_bytes()
+        tree = logger.state.acc.locals[0]
+        assert all(leaf.payload not in blob for leaf in tree.leaves)
+        _, _, state, _ = load_state(str(path), logger.keypair.verify_key)
+        assert state.acc.registry_order == state.graph.entity_exts
+        assert state.acc.committed_root == logger.commitments[-1].root
 
 
 class TestCloudReplay:
@@ -238,7 +280,7 @@ class TestSnapshots:
             logger.commit()
         path = str(tmp_path / "state.bin")
         save_state(path, "ep0", logger.epoch, logger.state, logger.commitments)
-        endpoint_id, epoch, state, commitments = load_state(path)
+        endpoint_id, epoch, state, commitments = load_state(path, logger.keypair.verify_key)
         assert endpoint_id == "ep0" and epoch == logger.epoch
         assert [c.to_bytes() for c in commitments] == [
             c.to_bytes() for c in logger.commitments
@@ -268,7 +310,7 @@ class TestSnapshots:
         logger.commit()
         path = str(tmp_path / "state.bin")
         save_state(path, "ep0", logger.epoch, logger.state, logger.commitments)
-        _, _, state, commitments = load_state(path)
+        _, _, state, commitments = load_state(path, logger.keypair.verify_key)
         from vcause.causality import analyze, verify_bundle
 
         q = CausalityQuery("2", le(state.graph.last_ts), BOTH)
@@ -288,26 +330,40 @@ class TestSnapshots:
         return logger, path
 
     def test_unknown_mode_tag_is_wire_error(self, tmp_path):
-        _, path = self._saved(tmp_path)
+        logger, path = self._saved(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[len(protocol._SNAP_MAGIC) + 1] = 7
         path.write_bytes(bytes(blob))
         with pytest.raises(WireError):
-            load_state(str(path))
+            load_state(str(path), logger.keypair.verify_key)
 
     def test_unknown_edge_kind_is_wire_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(protocol, "edge_kind_bytes", lambda kind: b"\x09")
-        _, path = self._saved(tmp_path)
+        logger, path = self._saved(tmp_path)
         with pytest.raises(WireError):
-            load_state(str(path))
+            load_state(str(path), logger.keypair.verify_key)
 
     def test_edge_to_unknown_node_is_wire_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             protocol, "node_ref", lambda ref: wire.node_ref((ref[0] + 10**6, ref[1]))
         )
-        _, path = self._saved(tmp_path)
+        logger, path = self._saved(tmp_path)
         with pytest.raises(WireError):
-            load_state(str(path))
+            load_state(str(path), logger.keypair.verify_key)
+
+    def test_stub_target_must_match_its_edge(self, tmp_path, monkeypatch):
+        real = protocol.node_id_bytes
+
+        def shifted(entity_id, key, is_terminal, target):
+            if is_terminal:
+                target = (target[0], target[1] + 1)
+            return real(entity_id, key, is_terminal, target)
+
+        monkeypatch.setattr(protocol, "node_id_bytes", shifted)
+        logger, path = self._saved(tmp_path)
+        assert any(n.is_terminal for n in logger.state.graph.nodes.values())
+        with pytest.raises(WireError, match="segment-view destination"):
+            load_state(str(path), logger.keypair.verify_key)
 
     def test_flipped_pi_out_fails_at_load(self, tmp_path):
         logger, path = self._saved(tmp_path)
@@ -320,9 +376,35 @@ class TestSnapshots:
         blob[blob.find(digest) + 100] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(WireError):
-            load_state(str(path))
+            load_state(str(path), logger.keypair.verify_key)
 
     def test_root_must_match_last_commitment(self, tmp_path):
-        _, path = self._saved(tmp_path, commitments=lambda cs: cs[:-1])
+        logger, path = self._saved(tmp_path, commitments=lambda cs: cs[:-1])
         with pytest.raises(WireError):
-            load_state(str(path))
+            load_state(str(path), logger.keypair.verify_key)
+
+    def test_nodes_without_commitment_fail_at_load(self, tmp_path):
+        logger, path = self._saved(tmp_path, commitments=lambda cs: [])
+        with pytest.raises(WireError):
+            load_state(str(path), logger.keypair.verify_key)
+
+    def test_flipped_signature_byte_fails_at_load(self, tmp_path):
+        logger, path = self._saved(tmp_path)
+        signature = logger.commitments[0].signature
+        blob = bytearray(path.read_bytes())
+        assert blob.count(signature) == 1
+        blob[blob.find(signature) + 10] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WireError):
+            load_state(str(path), logger.keypair.verify_key)
+
+    def test_commitments_must_name_the_endpoint(self, tmp_path):
+        logger, path = self._saved(tmp_path)
+        save_state(str(path), "ep1", logger.epoch, logger.state, logger.commitments)
+        with pytest.raises(WireError):
+            load_state(str(path), logger.keypair.verify_key)
+
+    def test_commitments_must_verify_under_the_key(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        with pytest.raises(WireError):
+            load_state(str(path), KeyPair.generate().verify_key)

@@ -217,8 +217,8 @@ class TestSegmentation:
         assert res.updated == want
 
     def test_union_of_trees_is_unsegmented_node_set(self):
-        # internal entity ids differ across modes (terminal stubs consume
-        # ids), so compare by external identity
+        # compare real nodes by external identity; stubs exist only when
+        # segmented
         rng = random.Random(10)
         stream = random_stream(rng, 400, 12)
         seg = Graph(mode=SEGMENTED, depth=2)
