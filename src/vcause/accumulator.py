@@ -6,7 +6,9 @@ payload binds the entity's external id together with its finalized local
 root, so a membership proof authenticates the external-id mapping without
 shipping the registry. Non-membership of an unknown entity is proven from
 the committed registry snapshot (hashed against the signed registry digest)
-plus a global absence path for the next dense id.
+plus a global absence path for the next dense id. Many committed leaves
+are proven at once by one global multiproof over their entities and one
+local multiproof per entity.
 
 Proof generation runs against the committed snapshot; commit() is the
 serialization point between the single writer and concurrent readers.
@@ -19,7 +21,7 @@ import struct
 from dataclasses import dataclass
 
 from . import dimtree
-from .dimtree import DimTree, LeafRecord, RangeSearchResult, SearchProof
+from .dimtree import DimTree, LeafRecord, MultiProof, RangeSearchResult, SearchProof
 from .hashcore import hash_bytes
 from .wire import Reader, WireError, decode, flag, optional, seq, str_lp, u8, u64, u128
 
@@ -39,7 +41,7 @@ _KIND_FROM_TAG = {v: k for k, v in _KIND_TAGS.items()}
 
 REL_LE = "le"  # nearest timestamp <= t (ties resolve to the latest seq)
 REL_GE = "ge"  # nearest timestamp >= t (ties resolve to the earliest seq)
-REL_KEY = "key"  # exact (timestamp, seq) key; internal, used for anchor proofs
+REL_KEY = "key"  # exact (timestamp, seq) key
 
 _REL_TAGS = {REL_LE: 0, REL_GE: 1, REL_KEY: 2}
 _REL_FROM_TAG = {v: k for k, v in _REL_TAGS.items()}
@@ -400,8 +402,20 @@ class Accumulator:
         hi = TimestampKey(b, MAX_SEQ).encoded()
         local = self.locals[internal].range_search(lo, hi)
         return RangeResult(
-            local.found, list(local.leaves), RangeProof(entity_ext, internal, gp, local)
+            local.found, list(local.leaves) if local.found else [],
+            RangeProof(entity_ext, internal, gp, local),
         )
+
+    def prove_members(self, keys: dict[int, list[int]]) -> tuple[MultiProof, list[MultiProof]]:
+        """Membership of committed leaves, given as {internal id: keys}: one
+        global multiproof over the internal ids and one local multiproof
+        per entity, in internal-id order."""
+        if self._committed_root is None:
+            raise NotCommitted("commit() has not run")
+        ids = sorted(keys)
+        global_proof, _ = self.global_tree.multiproof(dimtree.key_set(ids))
+        local = [self.locals[i].multiproof(dimtree.key_set(sorted(keys[i])))[0] for i in ids]
+        return global_proof, local
 
 
 # -- verification (pure, snapshot-free) --------------------------------------
@@ -499,7 +513,7 @@ def verify_range(
     local = proof.local_range
     if local is None or proof.global_proof is None:
         return False
-    if result.leaves != local.leaves or result.found != local.found:
+    if result.found != local.found or result.leaves != (local.leaves if local.found else []):
         return False
     lo = TimestampKey(a, 0).encoded()
     hi = TimestampKey(b, MAX_SEQ).encoded()
@@ -509,3 +523,25 @@ def verify_range(
     return _verify_global_member(
         root, entity_ext, proof.internal_id, local_root, proof.global_proof
     )
+
+
+def members_root(
+    global_proof: MultiProof,
+    members: list[tuple[int, str, list[LeafRecord], MultiProof]],
+) -> bytes | None:
+    """The root prove_members' proofs commit to, or None if invalid.
+
+    `members` holds, in ascending internal-id order, each entity's internal
+    id, external id, expected leaves in ascending key order and local
+    multiproof. Each local root is rebuilt from its leaves and folded into
+    the entity's global leaf, which binds the external id.
+    """
+    global_leaves = []
+    for internal_id, entity_ext, leaves, local_proof in members:
+        keys = [leaf.key for leaf in leaves]
+        local_root = dimtree.fold_multiproof(local_proof, dimtree.key_set(keys), leaves)
+        if local_root is None:
+            return None
+        global_leaves.append(LeafRecord(internal_id, global_leaf_digest(entity_ext, local_root)))
+    ids = [leaf.key for leaf in global_leaves]
+    return dimtree.fold_multiproof(global_proof, dimtree.key_set(ids), global_leaves)

@@ -9,7 +9,7 @@ signed commitment.
 
 Component records carry internal ids and keys only; external entity names
 appear exactly where a proof authenticates them (the query's entity via the
-POI proof, segment anchors via their root proofs). Unauthenticated display
+POI proof, segment anchors via the anchor section). Unauthenticated display
 fields would be a free forgery channel.
 """
 
@@ -18,16 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import accumulator as acc_mod
-from .accumulator import (
-    NodeProofResult,
-    RangeProof,
-    RangeResult,
-    Relation,
-    TimestampKey,
-)
+from .accumulator import NodeProofResult, Relation, TimestampKey
 from .commitment import Commitment
+from .dimtree import LeafRecord, MultiProof
 from .hashcore import (
     MsetDigest,
+    digest_hash,
     edge_kind_bytes,
     encode_edge,
     mset_empty,
@@ -137,12 +133,13 @@ class WireEdge:
 
 @dataclass(slots=True)
 class PoiRecord:
-    """The queried node with both digests; bound into its accumulator leaf."""
+    """The queried node with the hashes of both digests, as its accumulator
+    leaf binds them; the verifiers hash the digests they recompute."""
 
     entity_id: int
     key: TimestampKey
-    pi_in: MsetDigest
-    pi_out: MsetDigest
+    pi_in_hash: bytes
+    pi_out_hash: bytes
 
     @property
     def ref(self) -> NodeRef:
@@ -150,25 +147,15 @@ class PoiRecord:
 
     def leaf_digest(self, entity_ext: str) -> bytes:
         return node_leaf_digest(
-            entity_ext, self.entity_id, self.key, False, None, self.pi_in, self.pi_out
+            entity_ext, self.entity_id, self.key, self.pi_in_hash, self.pi_out_hash
         )
 
     def to_bytes(self) -> bytes:
-        return (
-            u64(self.entity_id)
-            + self.key.to_bytes()
-            + self.pi_in.to_bytes()
-            + self.pi_out.to_bytes()
-        )
+        return u64(self.entity_id) + self.key.to_bytes() + self.pi_in_hash + self.pi_out_hash
 
     @classmethod
     def read_from(cls, r: Reader) -> "PoiRecord":
-        return cls(
-            r.u64(),
-            TimestampKey.read_from(r),
-            MsetDigest.read_from(r),
-            MsetDigest.read_from(r),
-        )
+        return cls(r.u64(), TimestampKey.read_from(r), r.take(32), r.take(32))
 
 
 @dataclass(slots=True)
@@ -190,44 +177,30 @@ class WireSegment:
 
 
 @dataclass(slots=True)
-class RootProofEntry:
-    """Accumulator evidence for forward-segment anchors of one entity.
+class AnchorEntity:
+    """Accumulator evidence for the forward anchors of one entity.
 
-    Anchors are listed as (key, pi_in) pairs; pi_in joins the segment
-    record's pi_out to reconstruct each anchor's committed leaf digest.
-    A range entry batches a contiguous key run (Appendix-style O(m)
-    verification); a node entry authenticates a single anchor.
+    The anchors' internal id and keys come from the segments' anchor refs.
+    Each anchor's pi_in hash, in key order, joins the hash of its segment
+    record's pi_out to rebuild the anchor's committed leaf; the local
+    multiproof ties those leaves to the entity's local root, and the
+    bundle's one global multiproof ties every entity to the root.
     """
 
     entity_ext: str
-    anchors: list[tuple[TimestampKey, MsetDigest]]
-    node_proof: NodeProofResult | None = None
-    range_bounds: tuple[int, int] | None = None
-    range_proof: RangeProof | None = None
+    pi_in_hashes: list[bytes]
+    local_proof: MultiProof
 
     def to_bytes(self) -> bytes:
-        out = [
-            str_lp(self.entity_ext),
-            seq(self.anchors, lambda a: a[0].to_bytes() + a[1].to_bytes()),
-        ]
-        if self.node_proof is not None:
-            out.extend((u8(0), self.node_proof.to_bytes()))
-        else:
-            a, b = self.range_bounds
-            out.extend((u8(1), u64(a), u64(b), self.range_proof.to_bytes()))
-        return b"".join(out)
+        return (
+            str_lp(self.entity_ext)
+            + seq(self.pi_in_hashes, bytes)
+            + self.local_proof.to_bytes()
+        )
 
     @classmethod
-    def read_from(cls, r: Reader) -> "RootProofEntry":
-        ext = r.str_lp()
-        anchors = r.seq(lambda r: (TimestampKey.read_from(r), MsetDigest.read_from(r)))
-        tag = r.u8()
-        if tag == 0:
-            return cls(ext, anchors, node_proof=NodeProofResult.read_from(r))
-        if tag == 1:
-            a, b = r.u64(), r.u64()
-            return cls(ext, anchors, range_bounds=(a, b), range_proof=RangeProof.read_from(r))
-        raise WireError("unknown root proof tag")
+    def read_from(cls, r: Reader) -> "AnchorEntity":
+        return cls(r.str_lp(), r.seq(lambda r: r.take(32)), MultiProof.read_from(r))
 
 
 @dataclass(slots=True)
@@ -239,11 +212,12 @@ class ProofBundle:
     backward_nodes: list[WireNode] | None = None
     backward_edges: list[WireEdge] | None = None
     forward_segments: list[WireSegment] | None = None
-    root_proofs: list[RootProofEntry] | None = None
+    root_proofs: list[AnchorEntity] | None = None  # one per anchor entity
+    anchor_global: MultiProof | None = None  # present iff root_proofs is not empty
 
     def to_bytes(self) -> bytes:
         out = [
-            u8(1),
+            u8(2),
             self.query.to_bytes(),
             bytes_lp(self.commitment.to_bytes()),
             optional(self.poi),
@@ -256,13 +230,14 @@ class ProofBundle:
         out.append(flag(self.forward_segments is not None))
         if self.forward_segments is not None:
             out.append(seq(self.forward_segments, WireSegment.to_bytes))
-            out.append(seq(self.root_proofs, RootProofEntry.to_bytes))
+            out.append(optional(self.anchor_global))
+            out.append(seq(self.root_proofs, AnchorEntity.to_bytes))
         return b"".join(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProofBundle":
         r = Reader(data)
-        if r.u8() != 1:
+        if r.u8() != 2:
             raise WireError("unsupported bundle version")
         query = CausalityQuery.read_from(r)
         commitment = Commitment.from_bytes(r.bytes_lp())
@@ -272,14 +247,15 @@ class ProofBundle:
         if r.flag():
             backward_nodes = r.seq(WireNode.read_from)
             backward_edges = r.seq(WireEdge.read_from)
-        forward_segments = root_proofs = None
+        forward_segments = root_proofs = anchor_global = None
         if r.flag():
             forward_segments = r.seq(WireSegment.read_from)
-            root_proofs = r.seq(RootProofEntry.read_from)
+            anchor_global = r.optional(MultiProof.read_from)
+            root_proofs = r.seq(AnchorEntity.read_from)
         r.finish()
         return cls(
             query, commitment, poi, poi_proof,
-            backward_nodes, backward_edges, forward_segments, root_proofs,
+            backward_nodes, backward_edges, forward_segments, root_proofs, anchor_global,
         )
 
 
@@ -326,60 +302,22 @@ def _wire_edge(graph: Graph, edge, seg_view: bool) -> WireEdge:
     return WireEdge(edge.kind, edge.src_ref, dst, edge.event_type, edge.payload)
 
 
-def _anchor_proof_entries(graph: Graph, acc, anchors: list) -> list[RootProofEntry]:
-    """Batch anchor proofs: one range per contiguous key run covering >= 2
-    anchors whose timestamp window selects exactly the run, else single
-    exact-key node proofs."""
+def _anchor_section(graph: Graph, acc, anchors: list) -> tuple[list[AnchorEntity], MultiProof | None]:
+    """One AnchorEntity per anchor entity in internal-id order, plus the
+    global multiproof over those entities."""
     by_entity: dict[int, list] = {}
-    for node in anchors:
+    for node in sorted(anchors, key=lambda n: n.ref):
         by_entity.setdefault(node.entity_id, []).append(node)
-    entries: list[RootProofEntry] = []
-    for entity_id in sorted(by_entity):
-        group = sorted(by_entity[entity_id], key=lambda n: n.key.encoded())
-        ext = graph.entity_exts[entity_id]
-        keys = graph.versions[entity_id]
-        positions = {k: i for i, k in enumerate(keys)}
-        runs: list[list] = [[group[0]]]
-        for node in group[1:]:
-            if positions[node.key.encoded()] == positions[runs[-1][-1].key.encoded()] + 1:
-                runs[-1].append(node)
-            else:
-                runs.append([node])
-        for run in runs:
-            if len(run) >= 2 and _window_exact(keys, positions, run):
-                a = run[0].key.timestamp
-                b = run[-1].key.timestamp
-                res = acc.prove_range(ext, a, b)
-                entries.append(
-                    RootProofEntry(
-                        ext,
-                        [(n.key, n.pi_in) for n in run],
-                        range_bounds=(a, b),
-                        range_proof=res.proof,
-                    )
-                )
-            else:
-                for node in run:
-                    res = acc.prove_node(
-                        ext, Relation(acc_mod.REL_KEY, node.key.encoded())
-                    )
-                    entries.append(
-                        RootProofEntry(ext, [(node.key, node.pi_in)], node_proof=res)
-                    )
-    return entries
-
-
-def _window_exact(keys: list[int], positions: dict[int, int], run: list) -> bool:
-    """True when [first.ts, last.ts] selects exactly this key run."""
-    i = positions[run[0].key.encoded()]
-    j = positions[run[-1].key.encoded()]
-    first_ts = run[0].key.timestamp
-    last_ts = run[-1].key.timestamp
-    if i > 0 and TimestampKey.from_encoded(keys[i - 1]).timestamp >= first_ts:
-        return False
-    if j < len(keys) - 1 and TimestampKey.from_encoded(keys[j + 1]).timestamp <= last_ts:
-        return False
-    return True
+    if not by_entity:
+        return [], None
+    global_proof, local = acc.prove_members(
+        {entity_id: [n.ref[1] for n in nodes] for entity_id, nodes in by_entity.items()}
+    )
+    entries = [
+        AnchorEntity(graph.entity_exts[entity_id], [n.pi_in_hash for n in nodes], proof)
+        for (entity_id, nodes), proof in zip(by_entity.items(), local)
+    ]
+    return entries, global_proof
 
 
 def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) -> ProofBundle:
@@ -390,7 +328,9 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
     entity_id = graph.entity_ids[query.entity_ext]
     poi_ref = (entity_id, poi_res.node_key.encoded())
     poi_node = graph.node(poi_ref)
-    poi = PoiRecord(entity_id, poi_node.key, poi_node.pi_in, poi_node.pi_out)
+    poi = PoiRecord(
+        entity_id, poi_node.key, poi_node.pi_in_hash, digest_hash(poi_node.pi_out)
+    )
     bundle = ProofBundle(query, commitment, poi, poi_res)
 
     if query.wants_backward():
@@ -409,7 +349,7 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
             for seg in segments
         ]
         anchors = [graph.node(seg.anchor_ref) for seg in segments[1:]]
-        bundle.root_proofs = _anchor_proof_entries(graph, acc, anchors)
+        bundle.root_proofs, bundle.anchor_global = _anchor_section(graph, acc, anchors)
     return bundle
 
 
@@ -429,7 +369,7 @@ def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]
             return False  # duplicates are ambiguous; terminals never appear backward
         pool[n.ref] = n
     poi_rec = pool.get(poi.ref)
-    if poi_rec is None or poi_rec.pi.value != poi.pi_in.value:
+    if poi_rec is None or digest_hash(poi_rec.pi) != poi.pi_in_hash:
         return False
     in_edges: dict[NodeRef, list[int]] = {ref: [] for ref in pool}
     for i, e in enumerate(edges):
@@ -469,7 +409,8 @@ def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]
 def verify_forward(
     poi: PoiRecord,
     segments: list[WireSegment],
-    root_proofs: list[RootProofEntry],
+    anchor_global: MultiProof | None,
+    root_proofs: list[AnchorEntity],
     commitment: Commitment,
 ) -> bool:
     """Validate forward components: authenticate every segment anchor
@@ -488,7 +429,7 @@ def verify_forward(
             pool[n.ref] = n
         edges.extend(seg.edges)
     poi_rec = pool.get(poi.ref)
-    if poi_rec is None or poi_rec.is_terminal or poi_rec.pi.value != poi.pi_out.value:
+    if poi_rec is None or poi_rec.is_terminal or digest_hash(poi_rec.pi) != poi.pi_out_hash:
         return False
 
     # every terminal target must be a supplied non-terminal node
@@ -506,7 +447,7 @@ def verify_forward(
     targets = {n.terminal_target for n in pool.values() if n.is_terminal}
     if not set(anchor_refs) <= targets:
         return False
-    if not _verify_root_proofs(anchor_refs, pool, root_proofs, commitment):
+    if not _verify_anchors(anchor_refs, pool, root_proofs, anchor_global, commitment.root):
         return False
 
     out_edges: dict[NodeRef, list[int]] = {ref: [] for ref in pool}
@@ -551,71 +492,36 @@ def verify_forward(
     return all(computed[ref].value == pool[ref].pi.value for ref in pool)
 
 
-def _verify_root_proofs(
+def _verify_anchors(
     anchor_refs: list[NodeRef],
     pool: dict[NodeRef, WireNode],
-    root_proofs: list[RootProofEntry] | None,
-    commitment: Commitment,
+    entries: list[AnchorEntity],
+    anchor_global: MultiProof | None,
+    root: bytes,
 ) -> bool:
-    """Each anchor's committed leaf digest must match its supplied record."""
-    if root_proofs is None:
-        root_proofs = []
-    proven: set[NodeRef] = set()
-    for entry in root_proofs:
-        if not entry.anchors:
+    """Each anchor's committed leaf, rebuilt from its entry's pi_in hash and
+    its supplied record's pi_out, must be proven under the root. Entries
+    follow the anchors' entities in internal-id order, one each."""
+    by_entity: dict[int, list[int]] = {}
+    for entity_id, key in sorted(anchor_refs):
+        by_entity.setdefault(entity_id, []).append(key)
+    if len(entries) != len(by_entity) or (anchor_global is None) != (not entries):
+        return False
+    if not entries:
+        return True
+    members = []
+    for (entity_id, keys), entry in zip(by_entity.items(), entries):
+        if len(entry.pi_in_hashes) != len(keys):
             return False
-        claimed: list[tuple[NodeRef, bytes]] = []
-        for key, pi_in in entry.anchors:
-            internal_id = _entry_internal_id(entry)
-            if internal_id is None:
-                return False
-            ref = (internal_id, key.encoded())
-            rec = pool.get(ref)
-            if rec is None or rec.is_terminal:
-                return False
-            digest = node_leaf_digest(
-                entry.entity_ext, internal_id, key, False, None, pi_in, rec.pi
-            )
-            claimed.append((ref, digest))
-        if entry.node_proof is not None:
-            if len(claimed) != 1:
-                return False
-            res = entry.node_proof
-            ref, digest = claimed[0]
-            if not res.found or res.node_key is None:
-                return False
-            if res.node_key.encoded() != ref[1]:
-                return False
-            lp = res.proof.local_proof
-            if lp is None or not lp.found or lp.leaf.payload != digest:
-                return False
-            rel = Relation(acc_mod.REL_KEY, ref[1])
-            if not acc_mod.verify_node(commitment.root, entry.entity_ext, rel, res):
-                return False
-        else:
-            a, b = entry.range_bounds
-            rp = entry.range_proof
-            if rp is None or rp.local_range is None:
-                return False
-            leaves = rp.local_range.leaves
-            if len(leaves) != len(claimed):
-                return False
-            for (ref, digest), leaf in zip(claimed, leaves):
-                if leaf.key != ref[1] or leaf.payload != digest:
-                    return False
-            result = RangeResult(rp.local_range.found, list(leaves), rp)
-            if not acc_mod.verify_range(commitment.root, entry.entity_ext, a, b, result):
-                return False
-        proven.update(ref for ref, _ in claimed)
-    return set(anchor_refs) <= proven
-
-
-def _entry_internal_id(entry: RootProofEntry) -> int | None:
-    if entry.node_proof is not None:
-        return entry.node_proof.proof.internal_id
-    if entry.range_proof is not None:
-        return entry.range_proof.internal_id
-    return None
+        leaves = [
+            LeafRecord(key, node_leaf_digest(
+                entry.entity_ext, entity_id, TimestampKey.from_encoded(key),
+                pi_in_hash, digest_hash(pool[(entity_id, key)].pi),
+            ))
+            for key, pi_in_hash in zip(keys, entry.pi_in_hashes)
+        ]
+        members.append((entity_id, entry.entity_ext, leaves, entry.local_proof))
+    return acc_mod.members_root(anchor_global, members) == root
 
 
 def verify_bundle(vk, query: CausalityQuery, bundle: ProofBundle) -> VerifyReport:
@@ -652,7 +558,9 @@ def verify_bundle(vk, query: CausalityQuery, bundle: ProofBundle) -> VerifyRepor
         report.first_failure = "bundle carries unrequested backward components"
         return report
     if not query.wants_forward() and (
-        bundle.forward_segments is not None or bundle.root_proofs is not None
+        bundle.forward_segments is not None
+        or bundle.root_proofs is not None
+        or bundle.anchor_global is not None
     ):
         report.poi_ok = False
         report.first_failure = "bundle carries unrequested forward components"
@@ -679,7 +587,8 @@ def verify_bundle(vk, query: CausalityQuery, bundle: ProofBundle) -> VerifyRepor
             report.forward_ok = False
         else:
             report.forward_ok = verify_forward(
-                bundle.poi, bundle.forward_segments, bundle.root_proofs, bundle.commitment
+                bundle.poi, bundle.forward_segments, bundle.anchor_global,
+                bundle.root_proofs, bundle.commitment,
             )
         if not report.forward_ok:
             report.first_failure = "forward components rejected"

@@ -124,8 +124,7 @@ def _write_commitment_log(cli, commitments) -> None:
 
 def _save_endpoint(cli, logger: protocol.EndpointLogger) -> None:
     protocol.save_state(
-        cli.path("state.bin"), logger.endpoint_id, logger.epoch,
-        logger.state, logger.commitments,
+        cli.path("state.bin"), logger.endpoint_id, logger.state, logger.commitments
     )
     cfg = logger.state.config
     with open(cli.path("config.json"), "w") as fh:
@@ -289,10 +288,12 @@ def query(cli, entity, at, relation, direction, out):
         summary["forward_segments"] = len(bundle.forward_segments)
         summary["forward_nodes"] = n_nodes
         summary["forward_edges"] = n_edges
-        summary["root_proofs"] = len(bundle.root_proofs)
+        n_anchors = sum(len(e.pi_in_hashes) for e in bundle.root_proofs)
+        summary["anchors"] = n_anchors
+        summary["anchor_entities"] = len(bundle.root_proofs)
         human.append(
             f"forward: {len(bundle.forward_segments)} segments, {n_nodes} nodes "
-            f"{n_edges} edges, {len(bundle.root_proofs)} root proofs"
+            f"{n_edges} edges, {n_anchors} anchors of {len(bundle.root_proofs)} entities"
         )
     human.append(f"bundle {out} ({len(blob)} bytes)")
     cli.emit(summary, "; ".join(human))

@@ -4,7 +4,8 @@ An append-ordered Merkle forest of perfect binary subtrees. Leaves carry
 monotone integer keys; every internal node stores the min/max key of its
 subtree and binds them into its hash, so search-path proofs can also prove
 that the matched leaf satisfies a keyword relation (exact match, floor,
-ceiling) or that no leaf does.
+ceiling) or that no leaf does, and one multiproof can reveal every leaf
+that meets a key interval or a key set while proving that no other does.
 
 Insertion is a subtree merge with O(1) amortized cost: after n inserts the
 total number of internal-hash computations is exactly n - popcount(n).
@@ -15,10 +16,10 @@ nodes are cached and invalidated lazily on the next mutation.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .wire import Reader, WireError, decode, flag, u8, u16, u128
+from .wire import Reader, WireError, decode, flag, seq, u8, u16, u128
 
 _LEAF_TAG = b"\x00"
 _INTERNAL_TAG = b"\x01"
@@ -241,42 +242,98 @@ class SearchProof:
         return decode(data, cls.read_from)
 
 
-@dataclass(slots=True)
-class RangeSearchResult:
-    """Boundary-sharing proof for all leaves with key in [lo, hi]."""
+# Node kinds of a multiproof walk besides opaque (hash, min, max) summaries.
+EXPANDED_INTERNAL = "internal"
+EXPANDED_LEAF = "leaf"
 
-    lo: int
-    hi: int
-    found: bool
-    leaves: list[LeafRecord]
-    left_steps: list[PathStep]  # left-hand siblings on the walk to the leftmost leaf
-    right_steps: list[PathStep]  # right-hand siblings on the walk to the rightmost
-    n_leaves: int  # tree shape hints; lies break root equality
-    left_index: int
-    empty_evidence: SearchProof | None = None  # ceil(lo) proof when the range is empty
+
+def interval(lo: int, hi: int):
+    """Multiproof query: does a key interval [mn, mx] meet [lo, hi]?"""
+    return lambda mn, mx: mn <= hi and lo <= mx
+
+
+def key_set(keys: list[int]):
+    """Multiproof query: does [mn, mx] hold one of these keys (ascending)?"""
+
+    def meets(mn: int, mx: int) -> bool:
+        i = bisect_left(keys, mn)
+        return i < len(keys) and keys[i] <= mx
+
+    return meets
+
+
+@dataclass(slots=True)
+class MultiProof:
+    """One proof for every leaf that meets a query (compact Merkle
+    multiproofs, Ramabaja & Avdullahu, arXiv 2002.07648).
+
+    `nodes` is the root-first DFS walk of the tree: EXPANDED_INTERNAL (its
+    two children follow), EXPANDED_LEAF (the next revealed leaf, which
+    travels beside the proof) or an opaque (hash, min, max) summary. The
+    root is always expanded, because nothing binds its own interval; below
+    it a node is expanded iff its hash-bound interval meets the query, so
+    one tree and one query give exactly one proof.
+    """
+
+    nodes: list
 
     def to_bytes(self) -> bytes:
-        out = [u8(1), u128(self.lo), u128(self.hi), flag(self.found)]
-        if not self.found:
-            out.append(self.empty_evidence.to_bytes())
-            return b"".join(out)
-        out.append(u16(len(self.leaves)))
-        out.extend(leaf.to_bytes() for leaf in self.leaves)
-        out.extend((_steps_bytes(self.left_steps), _steps_bytes(self.right_steps)))
-        out.extend((u128(self.n_leaves), u128(self.left_index)))
+        out = []
+        for node in self.nodes:
+            if node is EXPANDED_INTERNAL:
+                out.append(b"\x01\x01")
+            elif node is EXPANDED_LEAF:
+                out.append(b"\x01\x00")
+            else:
+                h, mn, mx = node
+                out.append(b"\x00" + h + u128(mn) + u128(mx))
         return b"".join(out)
 
     @classmethod
+    def read_from(cls, r: Reader) -> "MultiProof":
+        nodes = []
+        open_slots = 1
+        while open_slots:
+            open_slots -= 1
+            if not r.flag():
+                nodes.append((r.take(32), r.u128(), r.u128()))
+            elif r.flag():
+                nodes.append(EXPANDED_INTERNAL)
+                open_slots += 2
+            else:
+                nodes.append(EXPANDED_LEAF)
+        return cls(nodes)
+
+
+@dataclass(slots=True)
+class RangeSearchResult:
+    """Every leaf with key in [lo, hi], proven by an interval multiproof.
+
+    A one-leaf tree whose leaf misses the range reveals that leaf instead:
+    it is the root, and the root is always expanded.
+    """
+
+    lo: int
+    hi: int
+    leaves: list[LeafRecord]
+    proof: MultiProof
+
+    @property
+    def found(self) -> bool:
+        return any(self.lo <= leaf.key <= self.hi for leaf in self.leaves)
+
+    def to_bytes(self) -> bytes:
+        return b"".join((
+            u8(2), u128(self.lo), u128(self.hi),
+            seq(self.leaves, LeafRecord.to_bytes), self.proof.to_bytes(),
+        ))
+
+    @classmethod
     def read_from(cls, r: Reader) -> "RangeSearchResult":
-        if r.u8() != 1:
+        if r.u8() != 2:
             raise WireError("unsupported range proof version")
         lo, hi = r.u128(), r.u128()
-        if not r.flag():
-            return cls(lo, hi, False, [], [], [], 0, 0, SearchProof.read_from(r))
-        leaves = [LeafRecord.read_from(r) for _ in range(r.u16())]
-        left_steps, right_steps = _read_steps(r), _read_steps(r)
-        n_leaves, left_index = r.u128(), r.u128()
-        return cls(lo, hi, True, leaves, left_steps, right_steps, n_leaves, left_index)
+        return cls(lo, hi, r.seq(LeafRecord.read_from), MultiProof.read_from(r))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RangeSearchResult":
@@ -451,37 +508,31 @@ class DimTree:
         return SearchProof(relation, key, True, leaf, steps, None, leaf_index=lo)
 
     def range_search(self, lo: int, hi: int) -> RangeSearchResult:
-        """All leaves with key in [lo, hi], with boundary-sharing proofs."""
+        """All leaves with key in [lo, hi], with one interval multiproof."""
         if lo > hi:
             raise ValueError("range lower bound above upper bound")
-        self._require_root()
-        keys = [l.key for l in self.leaves]
-        il = bisect_left(keys, lo)
-        ir = bisect_right(keys, hi) - 1
-        if il > ir:
-            return RangeSearchResult(
-                lo, hi, False, [], [], [], 0, 0, empty_evidence=self.search_ge(lo)
-            )
-        left_steps = [s for s in self._walk_to_index(il) if s.side == SIDE_LEFT]
-        right_steps = [s for s in self._walk_to_index(ir) if s.side == SIDE_RIGHT]
-        return RangeSearchResult(
-            lo, hi, True, self.leaves[il : ir + 1], left_steps, right_steps,
-            len(self.leaves), il,
-        )
+        proof, leaves = self.multiproof(interval(lo, hi))
+        return RangeSearchResult(lo, hi, leaves, proof)
 
-    def _walk_to_index(self, index: int) -> list[PathStep]:
-        node = self._require_root()
-        steps = []
-        pos = index
-        while node.height > 1:
-            if pos < node.left.count:
-                steps.append(self._step_for(node.right, SIDE_RIGHT))
-                node = node.left
+    def multiproof(self, meets) -> tuple[MultiProof, list[LeafRecord]]:
+        """The multiproof for a query predicate (interval or key_set), and
+        the leaves it reveals in key order."""
+        root = self._require_root()
+        nodes: list = []
+        leaves: list[LeafRecord] = []
+        stack = [(root, 0)]  # (node, index of its first leaf)
+        while stack:
+            node, first = stack.pop()
+            if node is not root and not meets(node.min_key, node.max_key):
+                nodes.append((node.hash, node.min_key, node.max_key))
+            elif node.height == 1:
+                nodes.append(EXPANDED_LEAF)
+                leaves.append(self.leaves[first])
             else:
-                steps.append(self._step_for(node.left, SIDE_LEFT))
-                pos -= node.left.count
-                node = node.right
-        return steps
+                nodes.append(EXPANDED_INTERNAL)
+                stack.append((node.right, first + node.left.count))
+                stack.append((node.left, first))
+        return MultiProof(nodes), leaves
 
 
 # -- verification (pure functions, no tree access) --------------------------
@@ -582,103 +633,58 @@ def verify_path(root: bytes, relation: str, key: int, proof: SearchProof) -> boo
     return reconstruct_path(relation, key, proof) == root
 
 
-def _subtree_heights(n: int) -> list[int]:
-    """Heights of the perfect subtrees for an n-leaf tree, left to right."""
-    return [bit + 1 for bit in range(n.bit_length() - 1, -1, -1) if n >> bit & 1]
+def fold_multiproof(proof: MultiProof, meets, leaves: list[LeafRecord]) -> bytes | None:
+    """Reconstruct the root a multiproof commits to, or None if invalid.
 
-
-class _RangeReplay:
-    """Replays the finalized tree shape, consuming proof material in DFS order."""
-
-    def __init__(self, result: RangeSearchResult):
-        self.res = result
-        self.il = result.left_index
-        self.ir = result.left_index + len(result.leaves) - 1
-        self.left_queue = list(result.left_steps)
-        self.right_queue = list(result.right_steps)  # consumed deepest-first (from the end)
-        self.next_leaf = 0
-
-    def _consume_pruned(self, hi: int):
-        if hi <= self.il:
-            if not self.left_queue:
-                raise WireError("left path exhausted")
-            step = self.left_queue.pop(0)
-            if step.side != SIDE_LEFT:
-                raise WireError("left path has wrong side")
+    `leaves` are the revealed leaves in key order, consumed one per
+    EXPANDED_LEAF. Checks the expand rule at every node: no opaque summary
+    meets the query (so no matching leaf is left out) and every expanded
+    node below the root meets it (so nothing else is revealed). Child
+    intervals must not overlap.
+    """
+    nodes = proof.nodes
+    pending = iter(leaves)
+    stack: list[list] = []  # child summaries of the expanded nodes above
+    for i, node in enumerate(nodes):
+        if node is EXPANDED_INTERNAL:
+            stack.append([])
+            continue
+        if node is EXPANDED_LEAF:
+            leaf = next(pending, None)
+            if leaf is None or (stack and not meets(leaf.key, leaf.key)):
+                return None
+            cur = (_leaf_hash(leaf.key, leaf.payload), leaf.key, leaf.key)
         else:
-            if not self.right_queue:
-                raise WireError("right path exhausted")
-            step = self.right_queue.pop()
-            if step.side != SIDE_RIGHT:
-                raise WireError("right path has wrong side")
-        return step.hash, step.min_key, step.max_key
-
-    def perfect(self, height: int, lo: int):
-        hi = lo + (1 << (height - 1))
-        if hi <= self.il or lo > self.ir:
-            return self._consume_pruned(hi)
-        if height == 1:
-            leaf = self.res.leaves[self.next_leaf]
-            self.next_leaf += 1
-            return _leaf_hash(leaf.key, leaf.payload), leaf.key, leaf.key
-        mid = lo + (1 << (height - 2))
-        lh, lmin, lmax = self.perfect(height - 1, lo)
-        rh, rmin, rmax = self.perfect(height - 1, mid)
-        return _internal_hash(lh, rh, lmin, lmax, rmin, rmax), lmin, rmax
-
-    def fold(self, heights: list[int], i: int, lo: int):
-        if i == len(heights) - 1:
-            return self.perfect(heights[i], lo)
-        size_left = 1 << (heights[i] - 1)
-        span = self.res.n_leaves - lo
-        if lo + span <= self.il or lo > self.ir:
-            return self._consume_pruned(lo + span)
-        lh, lmin, lmax = self.perfect(heights[i], lo)
-        rh, rmin, rmax = self.fold(heights, i + 1, lo + size_left)
-        return _internal_hash(lh, rh, lmin, lmax, rmin, rmax), lmin, rmax
+            _, mn, mx = node
+            if not stack or mn > mx or meets(mn, mx):
+                return None  # an opaque root or a hidden match
+            cur = node
+        while stack:
+            children = stack[-1]
+            children.append(cur)
+            if len(children) == 1:
+                break
+            stack.pop()
+            (lh, lmin, lmax), (rh, rmin, rmax) = children
+            if lmax > rmin or (stack and not meets(lmin, rmax)):
+                return None
+            cur = (_internal_hash(lh, rh, lmin, lmax, rmin, rmax), lmin, rmax)
+        else:
+            if i != len(nodes) - 1 or next(pending, None) is not None:
+                return None
+            return cur[0]
+    return None
 
 
 def reconstruct_range(lo: int, hi: int, result: RangeSearchResult) -> bytes | None:
     """Reconstruct the root a range proof commits to, or None if invalid.
 
-    Checks contiguity and completeness: every pruned subtree must prove
-    (via its hash-bound min/max) that it lies entirely outside [lo, hi].
+    The interval multiproof proves completeness: every subtree it leaves
+    opaque lies, by its hash-bound interval, outside [lo, hi].
     """
     if result.lo != lo or result.hi != hi or lo > hi:
         return None
-    if not result.found:
-        ev = result.empty_evidence
-        if result.leaves or ev is None:
-            return None
-        root = reconstruct_path(REL_GE, lo, ev)
-        if root is None:
-            return None
-        # either nothing >= lo exists, or the least such key is above hi
-        if ev.found and ev.leaf.key <= hi:
-            return None
-        return root
-    m = len(result.leaves)
-    if m == 0 or result.n_leaves < m or result.left_index + m > result.n_leaves:
-        return None
-    replay = _RangeReplay(result)
-    try:
-        heights = _subtree_heights(result.n_leaves)
-        got_root, _, _ = replay.fold(heights, 0, 0)
-    except WireError:
-        return None
-    if replay.left_queue or replay.right_queue or replay.next_leaf != m:
-        return None
-    keys = [l.key for l in result.leaves]
-    if any(b < a for a, b in zip(keys, keys[1:])):
-        return None
-    if keys[0] < lo or keys[-1] > hi:
-        return None
-    # pruned subtrees must sit entirely outside the queried range
-    if any(s.max_key >= lo for s in result.left_steps):
-        return None
-    if any(s.min_key <= hi for s in result.right_steps):
-        return None
-    return got_root
+    return fold_multiproof(result.proof, interval(lo, hi), result.leaves)
 
 
 def verify_range(root: bytes, lo: int, hi: int, result: RangeSearchResult) -> bool:

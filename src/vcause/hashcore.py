@@ -40,6 +40,7 @@ _MSET_MASK = (1 << MSET_BITS) - 1
 # Domain separation tags. Changing any of these changes every digest.
 _TAG_MSET_ELEM = b"vc:mset-elem\x00"
 _TAG_COMMIT_SIG = b"vc:root-sig\x00"
+_TAG_DIGEST = b"vc:mset-digest\x00"
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -69,6 +70,12 @@ class MsetDigest:
     @classmethod
     def from_bytes(cls, data: bytes) -> "MsetDigest":
         return decode(data, cls.read_from)
+
+
+def digest_hash(d: MsetDigest) -> bytes:
+    """32-byte stand-in for a path digest: accumulator leaves bind it, and
+    POI records and anchors carry it instead of the 512-byte digest."""
+    return hashlib.sha3_256(_TAG_DIGEST + d.to_bytes()).digest()
 
 
 def _mset_element(elem: bytes) -> int:

@@ -35,7 +35,7 @@ from .provgraph import (
 from .wire import Reader, WireError, bytes_lp, node_ref, seq, str_lp, u8, u32, u64
 
 _SNAP_MAGIC = b"VCSNAP1"
-_SNAP_VERSION = 2
+_SNAP_VERSION = 3
 
 _MODE_TAGS = {SEGMENTED: 0, UNSEGMENTED: 1}
 _MODE_FROM_TAG = {v: k for k, v in _MODE_TAGS.items()}
@@ -281,6 +281,12 @@ class TamperReceipt:
     timestamp: int | None
 
 
+def _last_at_its_timestamp(graph, node) -> bool:
+    keys = graph.versions[node.entity_id]
+    i = keys.index(node.key.encoded())
+    return i + 1 == len(keys) or keys[i + 1] >> 32 != node.key.timestamp
+
+
 def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
     """Apply a named mutation class to reconstructed cloud state.
 
@@ -347,7 +353,9 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
             f"deleted node {victim.entity_ext}", parent.entity_ext, parent.key.timestamp
         )
     if kind == "forge-digest":
-        victim = rng.choice(nodes)
+        # the receipt's le(timestamp) query resolves to the last version at
+        # that timestamp, so only such a node is sure to be the POI
+        victim = rng.choice([n for n in nodes if _last_at_its_timestamp(graph, n)])
         victim.pi_out = mset_add(victim.pi_out, b"forged")
         return TamperReceipt(
             f"forged outgoing digest of {victim.entity_ext}",
@@ -386,16 +394,16 @@ def _read_node(r: Reader) -> VersionNode:
                        is_terminal=is_terminal, terminal_target=target)
 
 
-def save_state(path: str, endpoint_id: str, epoch: int, state: EndpointState,
+def save_state(path: str, endpoint_id: str, state: EndpointState,
                commitments: list[Commitment]) -> None:
-    """Versioned binary snapshot of one endpoint's graph; load rebuilds the rest."""
+    """Versioned binary snapshot of one endpoint's graph and commitments;
+    load rebuilds the rest, the epoch included."""
     if not state.quiescent:
         raise PendingChanges("flush before snapshotting")
     g = state.graph
     out: list[bytes] = [_SNAP_MAGIC, u8(_SNAP_VERSION)]
     out.extend((u8(_MODE_TAGS[g.mode]), u32(g.depth), u32(state.config.commit_interval)))
     out.append(str_lp(endpoint_id))
-    out.append(u64(epoch))
     out.append(seq(commitments, lambda c: bytes_lp(c.to_bytes())))
 
     out.extend((u64(g.last_ts), u64(g.event_count), u32(g.next_tree_id)))
@@ -416,9 +424,10 @@ def save_state(path: str, endpoint_id: str, epoch: int, state: EndpointState,
 
 def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]]:
     """Inverse of save_state. Every stored commitment must verify under vk
-    and name the snapshot's endpoint. The accumulator is rebuilt from the
-    graph's non-terminal nodes, and its root must be the last commitment's
-    root: that one check covers every node's identity and both digests."""
+    and name the snapshot's endpoint, and their epochs must run 1..n; the
+    endpoint's epoch is n. The accumulator is rebuilt from the graph's
+    non-terminal nodes, and its root must be the last commitment's root:
+    that one check covers every node's identity and both digests."""
     with open(path, "rb") as fh:
         r = Reader(fh.read())
     if r.take(len(_SNAP_MAGIC)) != _SNAP_MAGIC:
@@ -431,11 +440,12 @@ def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]
     depth = r.u32()
     interval = r.u32()
     endpoint_id = r.str_lp()
-    epoch = r.u64()
     commitments = r.seq(lambda r: Commitment.from_bytes(r.bytes_lp()))
-    for c in commitments:
+    for epoch, c in enumerate(commitments, 1):
         if c.endpoint_id != endpoint_id or not c.verify(vk):
             raise WireError(f"commitment of epoch {c.epoch} is not signed for {endpoint_id!r}")
+        if c.epoch != epoch:
+            raise WireError(f"commitment {epoch} carries epoch {c.epoch}")
 
     state = EndpointState(StateConfig(mode, depth, interval))
     g = state.graph
@@ -480,4 +490,4 @@ def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]
             raise WireError("rebuilt accumulator root differs from the last commitment's root")
     except (KeyError, IndexError, EntityIdMismatch, OutOfOrderKey) as exc:
         raise WireError(f"snapshot refers to a missing or misordered record: {exc!r}") from exc
-    return endpoint_id, epoch, state, commitments
+    return endpoint_id, len(commitments), state, commitments

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .accumulator import TimestampKey
 from .hashcore import (
     MsetDigest,
+    digest_hash,
     encode_edge,
     hash_bytes,
     mset_add,
@@ -80,20 +81,22 @@ def node_leaf_digest(
     entity_ext: str,
     entity_id: int,
     key: TimestampKey,
-    is_terminal: bool,
-    target: NodeRef | None,
-    pi_in: MsetDigest,
-    pi_out: MsetDigest,
+    pi_in_hash: bytes,
+    pi_out_hash: bytes,
 ) -> bytes:
-    """Accumulator leaf payload: binds identity and both path digests."""
+    """Accumulator leaf payload: binds identity and the hashes of both path
+    digests. Only non-terminal nodes have leaves."""
     return hash_bytes(b"".join((
         _NLEAF_TAG,
         _NODE_TAG,
         str_lp(entity_ext),
-        node_id_bytes(entity_id, key, is_terminal, target),
-        pi_in.to_bytes(),
-        pi_out.to_bytes(),
+        node_id_bytes(entity_id, key, False, None),
+        pi_in_hash,
+        pi_out_hash,
     )))
+
+
+_EMPTY_DIGEST_HASH = digest_hash(mset_empty())
 
 
 class ClockRegression(ValueError):
@@ -131,15 +134,19 @@ class VersionNode:
     created_seq: int = 0
     seg_parent_edge: int | None = None  # seg-view in-edge, for O(1) up-walks
     ref: NodeRef = None  # cached (entity_id, encoded key); keys never change
+    pi_in_hash: bytes = None  # digest_hash(pi_in); pi_in is fixed at creation
 
     def __post_init__(self):
         if self.ref is None:
             self.ref = (self.entity_id, self.key.encoded())
+        if self.pi_in_hash is None:
+            empty = not self.pi_in.value  # entries, stubs, pre-edge placeholders
+            self.pi_in_hash = _EMPTY_DIGEST_HASH if empty else digest_hash(self.pi_in)
 
     def leaf_digest(self) -> bytes:
         return node_leaf_digest(
-            self.entity_ext, self.entity_id, self.key, self.is_terminal,
-            self.terminal_target, self.pi_in, self.pi_out,
+            self.entity_ext, self.entity_id, self.key, self.pi_in_hash,
+            digest_hash(self.pi_out),
         )
 
 
@@ -213,6 +220,7 @@ class Graph:
             m.entity_ext = n.entity_ext
             m.key = n.key
             m.pi_in = n.pi_in
+            m.pi_in_hash = n.pi_in_hash
             m.pi_out = n.pi_out
             m.tree_id = n.tree_id
             m.depth = n.depth
@@ -404,6 +412,7 @@ class Graph:
         dep_edge = self._add_edge(DEPENDENCY, parent, node, ev)
         temporal_edge = self._add_edge(TEMPORAL, prev, node, ev) if prev is not None else None
         node.pi_in = self.compute_pi_in(node)
+        node.pi_in_hash = digest_hash(node.pi_in)
 
         if self.mode == SEGMENTED:
             self._apply_segmentation(node, dep_edge, temporal_edge, ev, created, updated)

@@ -156,6 +156,12 @@ def _mutate_edge(edge, variant, pool_refs, rng):
         edge.dst_ref = rng.choice(pool_refs)
 
 
+def _flip_byte(data, rng):
+    out = bytearray(data)
+    out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
+    return bytes(out)
+
+
 def _gen_mutants(bases, rng, target_total):
     """Yield (class_name, query, mutated_bundle, min_epoch) tuples."""
     count = 0
@@ -236,17 +242,17 @@ def _gen_mutants(bases, rng, target_total):
                     yield "edge-add", q, bundle, 0
                     count += 1
 
-            # digest forgery on the POI record and root proof entries
+            # digest forgery on the POI record and the anchor entries: one
+            # byte of a shipped 32-byte digest hash flipped
             for which in range(3):
                 bundle = fresh()
                 if which == 0:
-                    bundle.poi.pi_in = mset_add(bundle.poi.pi_in, b"x")
+                    bundle.poi.pi_in_hash = _flip_byte(bundle.poi.pi_in_hash, rng)
                 elif which == 1:
-                    bundle.poi.pi_out = mset_add(bundle.poi.pi_out, b"x")
+                    bundle.poi.pi_out_hash = _flip_byte(bundle.poi.pi_out_hash, rng)
                 elif bundle.root_proofs:
                     entry = bundle.root_proofs[rng.randrange(len(bundle.root_proofs))]
-                    key, pi = entry.anchors[0]
-                    entry.anchors[0] = (key, mset_add(pi, b"x"))
+                    entry.pi_in_hashes[0] = _flip_byte(entry.pi_in_hashes[0], rng)
                 else:
                     continue
                 yield "digest-forgery", q, bundle, 0
@@ -273,6 +279,7 @@ def _gen_mutants(bases, rng, target_total):
                 bundle.root_proofs = (
                     other.root_proofs if other.root_proofs is not None else []
                 )
+                bundle.anchor_global = other.anchor_global
                 if bundle.to_bytes() != blob:
                     yield "proof-splice", q, bundle, 0
                     count += 1
@@ -310,7 +317,7 @@ def test_01_tamper_detection(world_10k):
         stale = ProofBundle(
             q, old_commitment, bundle.poi, bundle.poi_proof,
             bundle.backward_nodes, bundle.backward_edges,
-            bundle.forward_segments, bundle.root_proofs,
+            bundle.forward_segments, bundle.root_proofs, bundle.anchor_global,
         )
         report = admin_verify(vk, q, stale, latest_epoch)
         total += 1

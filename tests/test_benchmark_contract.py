@@ -1,0 +1,41 @@
+"""The library keeps every name the benchmark in perfbench/ looks up: the
+traced functions and what the tamper controls read and write."""
+
+import random
+import sys
+from pathlib import Path
+
+from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze
+from vcause.protocol import Admin
+
+from .test_codec import le, synth_logger
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tamper  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_traced_functions_live_where_the_benchmark_patches_them():
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _ in workloads.TRACED
+        if attr not in owner.__dict__
+    ]
+    assert missing == []
+
+
+def test_tamper_controls_reject_every_mutant_of_a_forward_bundle():
+    logger = synth_logger(seed=5, n_events=40, n_entities=5, interval=20)
+    assert len(logger.commitments) >= 2
+    q = CausalityQuery("e3", le(logger.state.graph.last_ts // 2), BOTH)
+    bundle = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q)
+    assert bundle.root_proofs and bundle.anchor_global is not None
+    data = bundle.to_bytes()
+    admin = Admin()
+    admin.register_endpoint("ep0", logger.keypair.verify_key)
+    assert admin.verify(q, ProofBundle.from_bytes(data)).accepted
+    mutants = tamper.mutants(data, logger.commitments[-2], random.Random(1))
+    assert [kind for kind, _ in mutants] == ["flip-digest", "drop-edge", "stale-commitment"]
+    accepted = [kind for kind, mutant in mutants if admin.verify(q, mutant).accepted]
+    assert accepted == []

@@ -20,7 +20,7 @@ from vcause.causality import (
     verify_bundle,
     verify_forward,
 )
-from vcause.hashcore import KeyPair, MsetDigest, mset_add
+from vcause.hashcore import KeyPair, MsetDigest, digest_hash, mset_add
 from vcause.provgraph import STUB_ID_BIT, EventRecord
 
 from .helpers import backward_reachable, build_pipeline, forward_reachable, simple_stream
@@ -62,8 +62,8 @@ class TestAnalyzeHonest:
         bundle = run_query(logger, c, q)
         assert bundle.poi.key == TimestampKey(4, 0)
         node = logger.state.graph.node(bundle.poi.ref)
-        assert bundle.poi.pi_in == node.pi_in
-        assert bundle.poi.pi_out == node.pi_out
+        assert bundle.poi.pi_in_hash == digest_hash(node.pi_in)
+        assert bundle.poi.pi_out_hash == digest_hash(node.pi_out)
         assert verify_bundle(kp.verify_key, q, bundle).accepted
 
     def test_empty_query_provably_empty(self):
@@ -171,7 +171,9 @@ class TestVerifyBackward:
 
     def test_cycle_components_rejected(self):
         # adversarial component list encoding a cycle must not hang or pass
-        poi = causality.PoiRecord(0, TimestampKey(2, 0), MsetDigest(1), MsetDigest(0))
+        poi = causality.PoiRecord(
+            0, TimestampKey(2, 0), digest_hash(MsetDigest(1)), digest_hash(MsetDigest(0))
+        )
         a = WireNode(0, TimestampKey(2, 0), False, None, MsetDigest(1))
         b = WireNode(1, TimestampKey(1, 0), False, None, MsetDigest(1))
         edges = [
@@ -290,7 +292,7 @@ class TestVerifyBundleOrchestration:
         forged = ProofBundle(
             q, old_c, bundle.poi, bundle.poi_proof,
             bundle.backward_nodes, bundle.backward_edges,
-            bundle.forward_segments, bundle.root_proofs,
+            bundle.forward_segments, bundle.root_proofs, bundle.anchor_global,
         )
         report = verify_bundle(kp.verify_key, q, forged)
         assert report.commitment_ok and not report.poi_ok
@@ -303,7 +305,7 @@ class TestVerifyBundleOrchestration:
         forged = ProofBundle(
             q, bundle.commitment, bundle2.poi, bundle2.poi_proof,
             bundle2.backward_nodes, bundle2.backward_edges,
-            bundle2.forward_segments, bundle2.root_proofs,
+            bundle2.forward_segments, bundle2.root_proofs, bundle2.anchor_global,
         )
         assert not verify_bundle(kp.verify_key, q, forged).accepted
 

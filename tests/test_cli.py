@@ -180,6 +180,24 @@ class TestQueryVerify:
         assert res.exit_code == 0
         assert json.loads(res.output.strip())["epoch"] == 4  # 600/200 + 1
 
+    def test_commits_after_reload_continue_the_epochs(self, runner, state):
+        # the snapshot stores no epoch: each load derives it from the
+        # signed commitments, so every commit signs the next one
+        for want in (4, 5):
+            res = run(runner, ["-s", str(state), "--format", "json", "commit"])
+            assert json.loads(res.output.strip())["epoch"] == want
+        log = (state / "commitments.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in log] == [1, 2, 3, 4, 5]
+
+    def test_query_summary_counts_anchors(self, runner, state, tmp_path):
+        res = run(runner, ["-s", str(state), "--format", "json", "query", "e2",
+                           "--at", "300", "--direction", "forward",
+                           "--out", str(tmp_path / "bundle.bin")])
+        summary = json.loads(res.output.strip())
+        assert "root_proofs" not in summary
+        assert summary["anchors"] >= summary["anchor_entities"] >= 0
+        assert summary["forward_segments"] == summary["anchors"] + 1
+
 
 class TestMissingKey:
     @pytest.fixture

@@ -16,11 +16,12 @@ from vcause.wire import Reader, WireError, decode, flag, node_ref
 
 from .test_accumulator import fill
 
-# SHA3-256 of the golden bundle and snapshot below: terminal stubs carry
-# top-bit entity ids, search steps carry no height, and the snapshot
-# stores the graph alone, without stub digests.
-GOLDEN_BUNDLE_SHA3 = "3e03179ea28afd3f8a13c15469e833937408861474cf67a65c897ebfa7a99cc0"
-GOLDEN_SNAPSHOT_SHA3 = "0ea88814f9517f9f7b21294f99045edb6db16f0155c531290fddaab2cbca94f5"
+# SHA3-256 of the golden bundle and snapshot below: leaves bind the hashes
+# of both path digests, the anchor section is one global multiproof plus
+# one local multiproof per entity, and the snapshot (version 3) stores no
+# epoch.
+GOLDEN_BUNDLE_SHA3 = "89b1146a5274b32d5cc440af1762bb9757ef5c15820269764d84bd4073682a42"
+GOLDEN_SNAPSHOT_SHA3 = "cce8bccfcacfff1f57bcd99dc91dc6c6fd0433be248e16549bc08bb523258f89"
 
 
 def fixed_keypair() -> KeyPair:
@@ -103,15 +104,19 @@ class TestGoldenBytes:
         assert hashlib.sha3_256(blob).hexdigest() == GOLDEN_BUNDLE_SHA3
         assert ProofBundle.from_bytes(blob).to_bytes() == blob
         path = tmp_path / "state.bin"
-        save_state(str(path), "ep0", logger.epoch, logger.state, logger.commitments)
+        save_state(str(path), "ep0", logger.state, logger.commitments)
         assert hashlib.sha3_256(path.read_bytes()).hexdigest() == GOLDEN_SNAPSHOT_SHA3
 
 
 @pytest.fixture(scope="module")
 def honest_bundle():
-    logger = synth_logger(seed=5, n_events=30, n_entities=5, interval=10**9)
-    q = CausalityQuery("e2", le(logger.state.graph.last_ts // 2), BOTH)
-    blob = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q).to_bytes()
+    """A small `both` bundle whose forward answer has anchors of two
+    entities, so it carries a global and two local multiproofs."""
+    logger = synth_logger(seed=5, n_events=40, n_entities=5, interval=10**9)
+    q = CausalityQuery("e3", le(logger.state.graph.last_ts // 2), BOTH)
+    bundle = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q)
+    assert len(bundle.root_proofs) == 2 and bundle.anchor_global is not None
+    blob = bundle.to_bytes()
     admin = Admin()
     admin.register_endpoint("ep0", logger.keypair.verify_key)
     assert admin.verify(q, ProofBundle.from_bytes(blob)).accepted
@@ -120,7 +125,8 @@ def honest_bundle():
 
 def test_bundle_is_canonical(honest_bundle):
     """Set every 0 or 1 byte of a small honest `both` bundle to 2, one at a
-    time: each mutant must fail to parse or be rejected."""
+    time, multiproof flag bytes included: each mutant must fail to parse or
+    be rejected."""
     q, blob, admin = honest_bundle
     candidates = [i for i, b in enumerate(blob) if b in (0, 1)]
     assert len(candidates) > 1000

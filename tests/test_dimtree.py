@@ -20,12 +20,24 @@ from vcause.dimtree import (
     verify_path,
     verify_range,
 )
+from vcause.wire import WireError
 
 from .helpers import ceil_key_scan, floor_key_scan, naive_merkle_root
 
 
 def payload(i: int) -> bytes:
     return i.to_bytes(4, "big") * 8
+
+
+def _find_node(t: DimTree, h: bytes):
+    stack = [t._root]
+    while stack:
+        node = stack.pop()
+        if node.hash == h:
+            return node
+        if node.height > 1:
+            stack.extend((node.left, node.right))
+    raise KeyError(h)
 
 
 def build(keys) -> DimTree:
@@ -358,13 +370,71 @@ class TestRange:
         assert not verify_range(t.root, 3, 12, res)
 
     def test_shape_hint_lies_rejected(self):
-        # shifting the boundary index desyncs pruned-subtree consumption
+        # the node kinds of the walk are the proof's only shape hints; a
+        # lie about any one of them breaks the walk or root equality
         t = build(range(21))
         res = t.range_search(5, 9)
-        res.left_index += 1
-        assert not verify_range(t.root, 5, 9, res)
-        res.left_index -= 2
-        assert not verify_range(t.root, 5, 9, res)
+        honest = list(res.proof.nodes)
+        kinds = (dimtree.EXPANDED_INTERNAL, dimtree.EXPANDED_LEAF, (bytes(32), 0, 0))
+        for i, node in enumerate(honest):
+            for other in kinds:
+                if type(other) is type(node) and other == node:
+                    continue
+                res.proof.nodes = honest[:i] + [other] + honest[i + 1:]
+                assert not verify_range(t.root, 5, 9, res)
+
+    def test_range_proof_has_one_encoding(self):
+        # every single-bit flip of an honest range proof fails to parse or
+        # to verify: no field (a leaf count or shape hint) is unbound
+        t = build(range(100))
+        blob = t.range_search(40, 45).to_bytes()
+        assert verify_range(t.root, 40, 45, RangeSearchResult.from_bytes(blob))
+        accepted = []
+        for i in range(len(blob)):
+            for bit in range(8):
+                mutant = bytearray(blob)
+                mutant[i] ^= 1 << bit
+                try:
+                    res = RangeSearchResult.from_bytes(bytes(mutant))
+                except WireError:
+                    continue
+                if verify_range(t.root, 40, 45, res):
+                    accepted.append((i, bit))
+        assert accepted == []
+
+    def test_expanded_node_missing_the_query_rejected(self):
+        t = build(range(100))
+        res = t.range_search(40, 45)
+        nodes = res.proof.nodes
+        i = next(i for i, n in enumerate(nodes) if isinstance(n, tuple) and n[1] < n[2])
+        sub = _find_node(t, nodes[i][0])
+        res.proof.nodes = nodes[:i] + [
+            dimtree.EXPANDED_INTERNAL,
+            (sub.left.hash, sub.left.min_key, sub.left.max_key),
+            (sub.right.hash, sub.right.min_key, sub.right.max_key),
+        ] + nodes[i + 1:]
+        assert dimtree.reconstruct_range(40, 45, res) is None
+
+    def test_opaque_node_meeting_the_query_rejected(self):
+        t = build(range(100))
+        res = t.range_search(40, 45)
+        nodes = res.proof.nodes
+        # the deepest expanded internal node that reveals only leaves
+        i = max(
+            i for i, n in enumerate(nodes[:-2])
+            if n is dimtree.EXPANDED_INTERNAL
+            and nodes[i + 1] is nodes[i + 2] is dimtree.EXPANDED_LEAF
+        )
+        first = sum(1 for n in nodes[:i] if n is dimtree.EXPANDED_LEAF)
+        a, b = res.leaves[first], res.leaves[first + 1]
+        sub = _find_node(t, dimtree._internal_hash(
+            dimtree._leaf_hash(a.key, a.payload), dimtree._leaf_hash(b.key, b.payload),
+            a.key, a.key, b.key, b.key,
+        ))
+        res.proof.nodes = nodes[:i] + [(sub.hash, sub.min_key, sub.max_key)] + nodes[i + 3:]
+        del res.leaves[first:first + 2]
+        # the summary is the real node's, so only the expand rule rejects
+        assert dimtree.reconstruct_range(40, 45, res) is None
 
     def test_batch_verification_hash_cost(self):
         n, m = 2048, 1000

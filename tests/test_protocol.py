@@ -7,7 +7,7 @@ import pytest
 from vcause import accumulator as acc_mod
 from vcause.accumulator import Relation
 from vcause.causality import BOTH, CausalityQuery, analyze
-from vcause.commitment import Commitment
+from vcause.commitment import Commitment, make_commitment
 from vcause.hashcore import KeyPair
 from vcause import protocol, wire
 from vcause.hashcore import MsetDigest
@@ -141,7 +141,7 @@ class TestTerminalStubs:
 
     def test_snapshot_stores_no_accumulator_leaves(self, logger, tmp_path):
         path = tmp_path / "state.bin"
-        save_state(str(path), "ep0", logger.epoch, logger.state, logger.commitments)
+        save_state(str(path), "ep0", logger.state, logger.commitments)
         blob = path.read_bytes()
         tree = logger.state.acc.locals[0]
         assert all(leaf.payload not in blob for leaf in tree.leaves)
@@ -279,7 +279,7 @@ class TestSnapshots:
         if logger.state.events_since_commit:
             logger.commit()
         path = str(tmp_path / "state.bin")
-        save_state(path, "ep0", logger.epoch, logger.state, logger.commitments)
+        save_state(path, "ep0", logger.state, logger.commitments)
         endpoint_id, epoch, state, commitments = load_state(path, logger.keypair.verify_key)
         assert endpoint_id == "ep0" and epoch == logger.epoch
         assert [c.to_bytes() for c in commitments] == [
@@ -299,7 +299,7 @@ class TestSnapshots:
         logger = make_logger(interval=10**9)
         logger.ingest(EventRecord("a", "w", "b", 1))
         with pytest.raises(PendingChanges):
-            save_state(str(tmp_path / "x.bin"), "ep0", 0, logger.state, [])
+            save_state(str(tmp_path / "x.bin"), "ep0", logger.state, [])
 
     def test_query_after_reload(self, tmp_path):
         rng = random.Random(12)
@@ -309,7 +309,7 @@ class TestSnapshots:
             logger.ingest(e)
         logger.commit()
         path = str(tmp_path / "state.bin")
-        save_state(path, "ep0", logger.epoch, logger.state, logger.commitments)
+        save_state(path, "ep0", logger.state, logger.commitments)
         _, _, state, commitments = load_state(path, logger.keypair.verify_key)
         from vcause.causality import analyze, verify_bundle
 
@@ -326,7 +326,7 @@ class TestSnapshots:
             logger.commit()
         path = tmp_path / "state.bin"
         kept = logger.commitments if commitments is None else commitments(logger.commitments)
-        save_state(str(path), "ep0", logger.epoch, logger.state, kept)
+        save_state(str(path), "ep0", logger.state, kept)
         return logger, path
 
     def test_unknown_mode_tag_is_wire_error(self, tmp_path):
@@ -400,7 +400,7 @@ class TestSnapshots:
 
     def test_commitments_must_name_the_endpoint(self, tmp_path):
         logger, path = self._saved(tmp_path)
-        save_state(str(path), "ep1", logger.epoch, logger.state, logger.commitments)
+        save_state(str(path), "ep1", logger.state, logger.commitments)
         with pytest.raises(WireError):
             load_state(str(path), logger.keypair.verify_key)
 
@@ -408,3 +408,43 @@ class TestSnapshots:
         _, path = self._saved(tmp_path)
         with pytest.raises(WireError):
             load_state(str(path), KeyPair.generate().verify_key)
+
+
+class TestSnapshotEpochs:
+    def _logger(self):
+        logger = make_logger(interval=50)
+        for e in simple_stream(random.Random(14), 120, 6):
+            logger.ingest(e)
+        if logger.state.events_since_commit:
+            logger.commit()
+        assert len(logger.commitments) >= 2
+        return logger
+
+    def test_epoch_is_the_commitment_count(self, tmp_path):
+        logger = self._logger()
+        path = str(tmp_path / "state.bin")
+        save_state(path, "ep0", logger.state, logger.commitments)
+        _, epoch, _, commitments = load_state(path, logger.keypair.verify_key)
+        assert epoch == len(commitments) == logger.epoch
+
+    def test_skipped_commitment_epoch_refused(self, tmp_path):
+        logger = self._logger()
+        last = logger.commitments[-1]
+        skipped = make_commitment(
+            logger.keypair.signing_key, "ep0", last.epoch + 1, last.root,
+            last.registry_digest, last.timestamp,
+        )
+        path = str(tmp_path / "state.bin")
+        save_state(path, "ep0", logger.state, logger.commitments[:-1] + [skipped])
+        with pytest.raises(WireError, match="epoch"):
+            load_state(path, logger.keypair.verify_key)
+
+    def test_version_2_snapshot_refused(self, tmp_path):
+        logger = self._logger()
+        path = tmp_path / "state.bin"
+        save_state(str(path), "ep0", logger.state, logger.commitments)
+        blob = bytearray(path.read_bytes())
+        blob[len(protocol._SNAP_MAGIC)] = 2
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WireError, match="unsupported snapshot version"):
+            load_state(str(path), logger.keypair.verify_key)
