@@ -302,7 +302,9 @@ def _wire_edge(graph: Graph, edge, seg_view: bool) -> WireEdge:
     return WireEdge(edge.kind, edge.src_ref, dst, edge.event_type, edge.payload)
 
 
-def _anchor_section(graph: Graph, acc, anchors: list) -> tuple[list[AnchorEntity], MultiProof | None]:
+def _anchor_section(
+    graph: Graph, acc, anchors: list
+) -> tuple[list[AnchorEntity], MultiProof | None]:
     """One AnchorEntity per anchor entity in internal-id order, plus the
     global multiproof over those entities."""
     by_entity: dict[int, list] = {}

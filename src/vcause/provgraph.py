@@ -96,9 +96,6 @@ def node_leaf_digest(
     )))
 
 
-_EMPTY_DIGEST_HASH = digest_hash(mset_empty())
-
-
 class ClockRegression(ValueError):
     """Event timestamp below the stream's high-water mark."""
 
@@ -134,14 +131,19 @@ class VersionNode:
     created_seq: int = 0
     seg_parent_edge: int | None = None  # seg-view in-edge, for O(1) up-walks
     ref: NodeRef = None  # cached (entity_id, encoded key); keys never change
-    pi_in_hash: bytes = None  # digest_hash(pi_in); pi_in is fixed at creation
+    _pi_in_hash: bytes | None = None
 
     def __post_init__(self):
         if self.ref is None:
             self.ref = (self.entity_id, self.key.encoded())
-        if self.pi_in_hash is None:
-            empty = not self.pi_in.value  # entries, stubs, pre-edge placeholders
-            self.pi_in_hash = _EMPTY_DIGEST_HASH if empty else digest_hash(self.pi_in)
+
+    @property
+    def pi_in_hash(self) -> bytes:
+        """digest_hash(pi_in), computed once at the first sync: pi_in is
+        fixed once the node's in-edges exist."""
+        if self._pi_in_hash is None:
+            self._pi_in_hash = digest_hash(self.pi_in)
+        return self._pi_in_hash
 
     def leaf_digest(self) -> bytes:
         return node_leaf_digest(
@@ -220,7 +222,7 @@ class Graph:
             m.entity_ext = n.entity_ext
             m.key = n.key
             m.pi_in = n.pi_in
-            m.pi_in_hash = n.pi_in_hash
+            m._pi_in_hash = n._pi_in_hash
             m.pi_out = n.pi_out
             m.tree_id = n.tree_id
             m.depth = n.depth
@@ -412,7 +414,6 @@ class Graph:
         dep_edge = self._add_edge(DEPENDENCY, parent, node, ev)
         temporal_edge = self._add_edge(TEMPORAL, prev, node, ev) if prev is not None else None
         node.pi_in = self.compute_pi_in(node)
-        node.pi_in_hash = digest_hash(node.pi_in)
 
         if self.mode == SEGMENTED:
             self._apply_segmentation(node, dep_edge, temporal_edge, ev, created, updated)
