@@ -128,7 +128,7 @@ def registry_digest_of(entities: list[str]) -> bytes:
 
 
 def registry_bytes(registry: list[str]) -> bytes:
-    """External-id list as proofs and snapshots carry it."""
+    """External-id list as proofs carry it."""
     return seq(registry, str_lp)
 
 

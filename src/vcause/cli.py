@@ -174,8 +174,10 @@ def _load_endpoint(cli) -> protocol.EndpointLogger:
 @click.argument("log", type=str)
 @click.option("--mode", type=click.Choice([SEGMENTED, UNSEGMENTED]), default=SEGMENTED,
               show_default=True)
-@click.option("--depth", default=1, show_default=True, help="Segmentation depth L.")
-@click.option("--interval", default=1000, show_default=True, help="Commit every N events.")
+@click.option("--depth", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Segmentation depth L.")
+@click.option("--interval", type=click.IntRange(min=1), default=1000, show_default=True,
+              help="Commit every N events.")
 @click.option("--endpoint-id", default="endpoint-0", show_default=True)
 @click.option("--lenient", is_flag=True, help="Skip malformed lines instead of aborting.")
 @click.pass_obj
@@ -350,7 +352,7 @@ def tamper(cli, kind, seed):
     vk = _read_vk(cli)
     _, _, state, commitments = _load_snapshot(cli, vk)
     latest_epoch = commitments[-1].epoch
-    ep = protocol.CloudEndpoint(state, [], list(commitments))
+    ep = protocol.CloudEndpoint(state, list(commitments))
     rng = random.Random(seed)
     try:
         receipt = protocol.tamper(ep, kind, rng)

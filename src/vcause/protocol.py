@@ -16,26 +16,24 @@ import os
 from dataclasses import dataclass, field
 
 from . import causality
-from .accumulator import Accumulator, EntityIdMismatch, TimestampKey, read_registry, registry_bytes
+from .accumulator import Accumulator, TimestampKey
 from .commitment import Commitment, make_commitment
-from .dimtree import OutOfOrderKey
-from .hashcore import MsetDigest, edge_kind_bytes, mset_add, mset_empty, read_edge_kind
+from .dimtree import EmptyTree
+from .hashcore import mset_add
 from .provgraph import (
+    DEPENDENCY,
     SEGMENTED,
-    STUB_ID_BIT,
     UNSEGMENTED,
+    ClockRegression,
     Edge,
     EventRecord,
     Graph,
     NodeRef,
-    VersionNode,
-    node_id_bytes,
-    read_node_id,
 )
-from .wire import Reader, WireError, bytes_lp, node_ref, seq, str_lp, u8, u32, u64
+from .wire import Reader, WireError, bytes_lp, seq, str_lp, u8, u32, u64
 
 _SNAP_MAGIC = b"VCSNAP1"
-_SNAP_VERSION = 3
+_SNAP_VERSION = 4
 
 _MODE_TAGS = {SEGMENTED: 0, UNSEGMENTED: 1}
 _MODE_FROM_TAG = {v: k for k, v in _MODE_TAGS.items()}
@@ -79,6 +77,7 @@ class EndpointState:
         self._pending_new_set: set[NodeRef] = set()
         self.pending_dirty: dict[NodeRef, None] = {}
         self.events_since_commit = 0
+        self.epoch_ends: list[int] = []  # graph.event_count at each flush
 
     def apply_event(self, ev: EventRecord) -> None:
         res = self.graph.record_event(ev)
@@ -107,6 +106,7 @@ class EndpointState:
         self._pending_new_set.clear()
         self.pending_dirty.clear()
         self.events_since_commit = 0
+        self.epoch_ends.append(self.graph.event_count)
         return self.acc.commit()
 
     @property
@@ -123,6 +123,7 @@ class EndpointState:
         other._pending_new_set = set(self._pending_new_set)
         other.pending_dirty = dict(self.pending_dirty)
         other.events_since_commit = self.events_since_commit
+        other.epoch_ends = list(self.epoch_ends)
         return other
 
 
@@ -159,10 +160,25 @@ class EndpointLogger:
         return c
 
 
+def check_epoch(state: EndpointState, commitments: list[Commitment], epoch: int) -> None:
+    """Flush state as epoch `epoch` and compare it with that signed commitment.
+
+    Raises RootMismatch if the recomputed root or registry digest disagrees,
+    or if no commitment covers the epoch.
+    """
+    root = state.flush()
+    if epoch > len(commitments):
+        raise RootMismatch(epoch, "events beyond the last commitment")
+    expected = commitments[epoch - 1]
+    if expected.root != root:
+        raise RootMismatch(epoch)
+    if expected.registry_digest != state.acc.registry_digest():
+        raise RootMismatch(epoch, "registry digest diverged")
+
+
 @dataclass
 class CloudEndpoint:
     state: EndpointState
-    log: list[EventRecord] = field(default_factory=list)
     commitments: list[Commitment] = field(default_factory=list)
 
 
@@ -184,32 +200,20 @@ class Cloud:
         Raises RootMismatch at the first epoch whose recomputed root (or
         registry digest) disagrees with the logger's signed commitment.
         """
-        ep = CloudEndpoint(EndpointState(config), [], list(commitments))
+        ep = CloudEndpoint(EndpointState(config), list(commitments))
         self.endpoints[endpoint_id] = ep
         epoch = 0
         for ev in events:
-            ep.log.append(ev)
             ep.state.apply_event(ev)
             if ep.state.events_since_commit >= config.commit_interval:
                 epoch += 1
-                self._check_epoch(ep, epoch)
+                check_epoch(ep.state, ep.commitments, epoch)
         if epoch < len(ep.commitments) and ep.state.events_since_commit > 0:
             epoch += 1
-            self._check_epoch(ep, epoch)
+            check_epoch(ep.state, ep.commitments, epoch)
         if epoch != len(ep.commitments):
             raise RootMismatch(epoch + 1, "commitment without matching events")
         return ep
-
-    @staticmethod
-    def _check_epoch(ep: CloudEndpoint, epoch: int) -> None:
-        root = ep.state.flush()
-        if epoch > len(ep.commitments):
-            raise RootMismatch(epoch, "events beyond the last commitment")
-        expected = ep.commitments[epoch - 1]
-        if expected.root != root:
-            raise RootMismatch(epoch)
-        if expected.registry_digest != ep.state.acc.registry_digest():
-            raise RootMismatch(epoch, "registry digest diverged")
 
     def analyze(self, endpoint_id: str, query: causality.CausalityQuery) -> causality.ProofBundle:
         ep = self.endpoints.get(endpoint_id)
@@ -373,49 +377,31 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
 # -- snapshots ----------------------------------------------------------------
 
 
-def _node_bytes(node: VersionNode) -> bytes:
-    out = [
-        node_id_bytes(node.entity_id, node.key, node.is_terminal, node.terminal_target),
-        u64(node.tree_id + 1), u32(node.depth),
-    ]
-    if not node.is_terminal:  # stubs are digest-empty
-        out.extend((node.pi_in.to_bytes(), node.pi_out.to_bytes()))
-    return b"".join(out)
-
-
-def _read_node(r: Reader) -> VersionNode:
-    entity_id, key, is_terminal, target = read_node_id(r)
-    tree_id = r.u64() - 1
-    depth = r.u32()
-    pi_in = pi_out = mset_empty()
-    if not is_terminal:  # stubs are digest-empty
-        pi_in, pi_out = MsetDigest.read_from(r), MsetDigest.read_from(r)
-    return VersionNode(entity_id, "", key, pi_in, pi_out, tree_id, depth,
-                       is_terminal=is_terminal, terminal_target=target)
+def _read_event(r: Reader) -> EventRecord:
+    return EventRecord(r.str_lp(), r.str_lp(), r.str_lp(), r.u64(), r.bytes_lp())
 
 
 def save_state(path: str, endpoint_id: str, state: EndpointState,
                commitments: list[Commitment]) -> None:
-    """Versioned binary snapshot of one endpoint's graph and commitments;
-    load rebuilds the rest, the epoch included."""
+    """Versioned binary snapshot of one endpoint: its config, its signed
+    commitments with the event count each covers, and its events. Load
+    replays the events; nothing derived is stored."""
     if not state.quiescent:
         raise PendingChanges("flush before snapshotting")
-    g = state.graph
-    out: list[bytes] = [_SNAP_MAGIC, u8(_SNAP_VERSION)]
-    out.extend((u8(_MODE_TAGS[g.mode]), u32(g.depth), u32(state.config.commit_interval)))
-    out.append(str_lp(endpoint_id))
-    out.append(seq(commitments, lambda c: bytes_lp(c.to_bytes())))
-
-    out.extend((u64(g.last_ts), u64(g.event_count), u32(g.next_tree_id)))
-    out.append(registry_bytes(g.entity_exts))
-    out.append(seq(g.nodes.values(), _node_bytes))  # insertion order == creation order
-    out.append(u32(len(g.edges)))
-    for e in g.edges:
-        out.append(edge_kind_bytes(e.kind))
-        out.extend(node_ref(ref) for ref in (e.src_ref, e.dst_ref, e.seg_dst_ref))
-        out.extend((str_lp(e.event_type), u64(e.timestamp), bytes_lp(e.payload)))
-
-    blob = b"".join(out)
+    cfg, exts = state.config, state.graph.entity_exts
+    # record_event adds exactly one dependency edge per event, in order
+    events = [e for e in state.graph.edges if e.kind == DEPENDENCY]
+    blob = b"".join((
+        _SNAP_MAGIC, u8(_SNAP_VERSION),
+        u8(_MODE_TAGS[cfg.mode]), u32(cfg.depth), u32(cfg.commit_interval),
+        str_lp(endpoint_id),
+        seq(range(len(commitments)),
+            lambda i: commitments[i].to_bytes() + u64(state.epoch_ends[i])),
+        seq(events, lambda e: b"".join((
+            str_lp(exts[e.src_ref[0]]), str_lp(e.event_type), str_lp(exts[e.dst_ref[0]]),
+            u64(e.timestamp), bytes_lp(e.payload),
+        ))),
+    ))
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
@@ -425,9 +411,10 @@ def save_state(path: str, endpoint_id: str, state: EndpointState,
 def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]]:
     """Inverse of save_state. Every stored commitment must verify under vk
     and name the snapshot's endpoint, and their epochs must run 1..n; the
-    endpoint's epoch is n. The accumulator is rebuilt from the graph's
-    non-terminal nodes, and its root must be the last commitment's root:
-    that one check covers every node's identity and both digests."""
+    endpoint's epoch is n. Each epoch's events then replay through
+    EndpointState and the epoch is checked against its commitment, as
+    Cloud.replay checks it, so the replay binds every stored event. Any
+    fault raises WireError."""
     with open(path, "rb") as fh:
         r = Reader(fh.read())
     if r.take(len(_SNAP_MAGIC)) != _SNAP_MAGIC:
@@ -437,57 +424,32 @@ def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]
     mode = _MODE_FROM_TAG.get(r.u8())
     if mode is None:
         raise WireError("unknown graph mode tag")
-    depth = r.u32()
-    interval = r.u32()
+    config = StateConfig(mode, r.u32(), r.u32())
+    if config.commit_interval < 1 or (mode == SEGMENTED and config.depth < 1):
+        raise WireError(f"invalid state config {config}")
     endpoint_id = r.str_lp()
-    commitments = r.seq(lambda r: Commitment.from_bytes(r.bytes_lp()))
+    stored = r.seq(lambda r: (Commitment.read_from(r), r.u64()))  # (commitment, epoch end)
+    events = r.seq(_read_event)
+    r.finish()
+    commitments = [c for c, _ in stored]
     for epoch, c in enumerate(commitments, 1):
         if c.endpoint_id != endpoint_id or not c.verify(vk):
             raise WireError(f"commitment of epoch {c.epoch} is not signed for {endpoint_id!r}")
         if c.epoch != epoch:
             raise WireError(f"commitment {epoch} carries epoch {c.epoch}")
 
-    state = EndpointState(StateConfig(mode, depth, interval))
-    g = state.graph
+    state = EndpointState(config)
+    done = 0
     try:
-        g.last_ts = r.u64()
-        g.event_count = r.u64()
-        g.next_tree_id = r.u32()
-        for ext in read_registry(r):
-            g._entity_id(ext)
-        for _ in range(r.u32()):
-            node = _read_node(r)
-            if node.is_terminal:
-                if node.entity_id != STUB_ID_BIT | g.next_terminal:
-                    raise WireError(f"stub {node.ref} out of sequence")
-                g.next_terminal += 1
-            else:
-                node.entity_ext = g.entity_exts[node.entity_id]
-                g.latest[node.entity_id] = node.ref
-                state.pending_new.append(node.ref)
-            g._add_node(node)
-        for i in range(r.u32()):
-            kind = read_edge_kind(r)
-            refs = [r.node_ref() for _ in range(3)]
-            edge = Edge(i, kind, refs[0], refs[1], refs[2], r.str_lp(), r.u64(), r.bytes_lp())
-            g.edges.append(edge)
-            g.nodes[edge.src_ref].out_edge_ids.append(i)
-            g.nodes[edge.dst_ref].in_edge_ids.append(i)
-            # the segment-view destination is the destination or its stub;
-            # stubs have no leaf, so this binds their target at load
-            seg_dst = g.nodes[edge.seg_dst_ref]
-            if (seg_dst.terminal_target if seg_dst.is_terminal else seg_dst.ref) != edge.dst_ref:
-                raise WireError(f"edge {i}: segment-view destination stands for another node")
-            if g.mode == SEGMENTED:
-                seg_dst.seg_parent_edge = i
-        r.finish()
-        if g.mode == SEGMENTED:
-            for node in g.nodes.values():
-                if node.seg_parent_edge is None:
-                    g.trees[node.tree_id] = node.ref
-        root = state.flush() if state.pending_new else None
-        if root != (commitments[-1].root if commitments else None):
-            raise WireError("rebuilt accumulator root differs from the last commitment's root")
-    except (KeyError, IndexError, EntityIdMismatch, OutOfOrderKey) as exc:
-        raise WireError(f"snapshot refers to a missing or misordered record: {exc!r}") from exc
+        for epoch, (_, end) in enumerate(stored, 1):
+            if not done <= end <= len(events):
+                raise WireError(f"epoch {epoch} ends at event {end}, outside {done}..{len(events)}")
+            for ev in events[done:end]:
+                state.apply_event(ev)
+            done = end
+            check_epoch(state, commitments, epoch)
+    except (ClockRegression, RootMismatch, EmptyTree) as exc:
+        raise WireError(f"stored events do not replay to the commitments: {exc}") from exc
+    if done != len(events):
+        raise WireError(f"{len(events) - done} events past the last commitment")
     return endpoint_id, len(commitments), state, commitments

@@ -67,7 +67,7 @@ _PLAIN_MARKER = terminal_marker(False, None)
 def node_id_bytes(
     entity_id: int, key: TimestampKey, is_terminal: bool, target: NodeRef | None
 ) -> bytes:
-    """Node identity as leaf preimages, wire records and snapshots carry it:
+    """Node identity as leaf preimages and wire records carry it:
     u64 entity_id || TimestampKey || flag is_terminal || optional NodeRef."""
     head = _NODE_ID_PACK.pack(entity_id, key.timestamp, key.seq)
     return head + flag(is_terminal) + optional(target, node_ref)

@@ -5,8 +5,10 @@ import random
 import sys
 from pathlib import Path
 
+from vcause import protocol
 from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze
-from vcause.protocol import Admin
+from vcause.ingest import SynthConfig, synth
+from vcause.protocol import Admin, Cloud
 
 from .test_codec import le, synth_logger
 
@@ -23,6 +25,16 @@ def test_traced_functions_live_where_the_benchmark_patches_them():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_replay_and_flush_keep_the_shape_the_benchmark_calls():
+    """The benchmark patches EndpointState.flush on the class to log roots,
+    and calls Cloud.replay(endpoint_id, events, commitments, config)."""
+    assert "flush" in protocol.EndpointState.__dict__
+    logger = synth_logger(seed=5, n_events=40, n_entities=5, interval=20)
+    events = list(synth(SynthConfig(seed=5, n_events=40, n_entities=5)))
+    ep = Cloud().replay("ep0", events, logger.commitments, logger.state.config)
+    assert ep.state.acc.committed_root == logger.commitments[-1].root
 
 
 def test_tamper_controls_reject_every_mutant_of_a_forward_bundle():

@@ -97,6 +97,15 @@ class TestIngest:
         assert res.exit_code != 0
         assert "event 2" in res.output
 
+    @pytest.mark.parametrize("option", ["--depth", "--interval"])
+    def test_zero_depth_or_interval_is_a_usage_error(self, runner, tmp_path, option):
+        log = self._gen(runner, tmp_path, events=10)
+        state = tmp_path / "state"
+        res = runner.invoke(main, ["-s", str(state), "ingest", str(log), option, "0"])
+        assert res.exit_code == 2, res.output
+        assert "x>=1" in res.output
+        assert not (state / "state.bin").exists()
+
     def test_lenient_skips(self, runner, tmp_path):
         log = tmp_path / "messy.jsonl"
         log.write_text(

@@ -21,7 +21,7 @@ from .test_accumulator import fill
 # one local multiproof per entity, and the snapshot (version 3) stores no
 # epoch.
 GOLDEN_BUNDLE_SHA3 = "89b1146a5274b32d5cc440af1762bb9757ef5c15820269764d84bd4073682a42"
-GOLDEN_SNAPSHOT_SHA3 = "cce8bccfcacfff1f57bcd99dc91dc6c6fd0433be248e16549bc08bb523258f89"
+GOLDEN_SNAPSHOT_SHA3 = "19cd817d69963e70d353a7fda216432bb067f642ae3d19f291066f10b7803b82"
 
 
 def fixed_keypair() -> KeyPair:

@@ -1,6 +1,6 @@
-"""Mutation fuzzing of honest proofs: decoders raise only WireError,
-verifiers never raise, and no mutant that differs from the honest bytes is
-accepted."""
+"""Mutation fuzzing of honest proofs and snapshots: decoders raise only
+WireError, verifiers never raise, no mutant that differs from the honest
+bytes is accepted, and a snapshot that loads saves back to its own bytes."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from vcause.accumulator import RangeProof, RangeResult, verify_range
 from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze, verify_bundle
+from vcause import protocol
+from vcause.protocol import load_state, save_state
 from vcause.wire import WireError, decode
 
 from .test_codec import le, synth_logger
@@ -67,6 +69,14 @@ def range_proof(logger):
     return ext, a, b, res.proof.to_bytes()
 
 
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    logger = synth_logger(seed=5, n_events=20, n_entities=5, interval=8)
+    path = tmp_path_factory.mktemp("snapshot") / "state.bin"
+    save_state(str(path), "ep0", logger.state, logger.commitments)
+    return logger.keypair.verify_key, path, path.read_bytes()
+
+
 @given(edits=_EDITS)
 @settings(max_examples=300, deadline=None)
 def test_bundle_mutants_rejected(logger, anchored_bundle, edits):
@@ -98,3 +108,20 @@ def test_range_proof_mutants_rejected(logger, range_proof, edits):
     result = RangeResult(found, list(local.leaves) if found else [], proof)
     acc = logger.state.acc
     assert not verify_range(acc.committed_root, ext, a, b, result, acc.registry_digest())
+
+
+@given(edits=_EDITS)
+@settings(max_examples=200, deadline=None)
+def test_snapshot_mutants_refused_or_canonical(snapshot, edits):
+    vk, path, blob = snapshot
+    mutant = _mutate(blob, edits)
+    path.write_bytes(mutant)
+    try:
+        endpoint_id, _, state, commitments = load_state(str(path), vk)
+    except WireError:
+        return
+    save_state(str(path), endpoint_id, state, commitments)
+    assert path.read_bytes() == mutant
+    # only commit_interval, which no commitment signs, may differ
+    at = len(protocol._SNAP_MAGIC) + 2 + 4
+    assert len(mutant) == len(blob) and mutant[:at] + mutant[at + 4:] == blob[:at] + blob[at + 4:]
