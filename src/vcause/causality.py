@@ -297,7 +297,7 @@ def _wire_node(node, pi: MsetDigest) -> WireNode:
     return WireNode(node.entity_id, node.key, node.is_terminal, node.terminal_target, pi)
 
 
-def _wire_edge(graph: Graph, edge, seg_view: bool) -> WireEdge:
+def _wire_edge(edge, seg_view: bool) -> WireEdge:
     dst = edge.seg_dst_ref if seg_view else edge.dst_ref
     return WireEdge(edge.kind, edge.src_ref, dst, edge.event_type, edge.payload)
 
@@ -338,7 +338,7 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
     if query.wants_backward():
         nodes, edges = graph.collect_backward(poi_ref)
         bundle.backward_nodes = [_wire_node(n, n.pi_in) for n in nodes]
-        bundle.backward_edges = [_wire_edge(graph, e, seg_view=False) for e in edges]
+        bundle.backward_edges = [_wire_edge(e, seg_view=False) for e in edges]
 
     if query.wants_forward():
         segments = graph.collect_forward(poi_ref)
@@ -346,7 +346,7 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
             WireSegment(
                 seg.anchor_ref,
                 [_wire_node(n, n.pi_out) for n in seg.nodes],
-                [_wire_edge(graph, e, seg_view=True) for e in seg.edges],
+                [_wire_edge(e, seg_view=True) for e in seg.edges],
             )
             for seg in segments
         ]
@@ -358,12 +358,53 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
 # -- validation ---------------------------------------------------------------
 
 
+def _digests_match(
+    pool: dict[NodeRef, WireNode],
+    children: dict[NodeRef, list[tuple[bytes, NodeRef]]],
+    starts: list[NodeRef],
+) -> bool:
+    """Recompute every pooled digest bottom-up and compare it with its claim.
+
+    A node's digest is the multiset hash of `prefix || child digest` over
+    its (prefix, child) entries; a childless node's is the empty digest.
+    Rejects cycles and pooled nodes that no walk from `starts` reaches
+    (unreachable extras are forgeries). Reaching every node consumes every
+    entry of `children`, so no supplied edge escapes the comparison.
+    """
+    computed: dict[NodeRef, MsetDigest] = {}
+    in_progress: set[NodeRef] = set()
+    for start in starts:
+        stack: list[tuple[NodeRef, bool]] = [(start, False)]
+        while stack:
+            ref, expand = stack.pop()
+            kids = children[ref]
+            if expand:
+                in_progress.discard(ref)
+                elems = []
+                for prefix, child in kids:
+                    child_pi = computed.get(child)
+                    if child_pi is None:
+                        return False  # cycle: a child never finished computing
+                    elems.append(prefix + child_pi.to_bytes())
+                computed[ref] = mset_hash_set(elems)
+            elif ref not in computed and ref not in in_progress:
+                if not kids:
+                    computed[ref] = mset_empty()
+                    continue
+                in_progress.add(ref)
+                stack.append((ref, True))
+                stack.extend((child, False) for _, child in kids)
+    if len(computed) != len(pool):
+        return False
+    return all(computed[ref].value == n.pi.value for ref, n in pool.items())
+
+
 def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]) -> bool:
     """Recompute incoming path digests from the supplied components only.
 
     Accepts iff the recomputed digest of every supplied node matches its
-    claim, the queried node's digest matches, and every supplied component
-    was consumed by the walk (unreachable extras are forgeries).
+    claim, the queried node's digest matches, and the walk from the queried
+    node reaches every supplied node (unreachable extras are forgeries).
     """
     pool: dict[NodeRef, WireNode] = {}
     for n in nodes:
@@ -373,39 +414,12 @@ def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]
     poi_rec = pool.get(poi.ref)
     if poi_rec is None or digest_hash(poi_rec.pi) != poi.pi_in_hash:
         return False
-    in_edges: dict[NodeRef, list[int]] = {ref: [] for ref in pool}
-    for i, e in enumerate(edges):
+    sources: dict[NodeRef, list[tuple[bytes, NodeRef]]] = {ref: [] for ref in pool}
+    for e in edges:
         if e.dst_ref not in pool or e.src_ref not in pool:
             return False
-        in_edges[e.dst_ref].append(i)
-
-    computed: dict[NodeRef, MsetDigest] = {}
-    in_progress: set[NodeRef] = set()
-    used_edges: set[int] = set()
-    stack: list[tuple[NodeRef, bool]] = [(poi.ref, False)]
-    while stack:
-        ref, expand = stack.pop()
-        if expand:
-            in_progress.discard(ref)
-            elems = []
-            for i in in_edges[ref]:
-                e = edges[i]
-                src_pi = computed.get(e.src_ref)
-                if src_pi is None:
-                    return False  # cycle: a source never finished computing
-                elems.append(encode_edge(e, e.src_ref, e.dst_ref) + src_pi.to_bytes())
-            computed[ref] = mset_hash_set(elems)
-            continue
-        if ref in computed or ref in in_progress:
-            continue
-        in_progress.add(ref)
-        stack.append((ref, True))
-        for i in in_edges[ref]:
-            used_edges.add(i)
-            stack.append((edges[i].src_ref, False))
-    if len(computed) != len(pool) or len(used_edges) != len(edges):
-        return False
-    return all(computed[ref].value == pool[ref].pi.value for ref in pool)
+        sources[e.dst_ref].append((encode_edge(e, e.src_ref, e.dst_ref), e.src_ref))
+    return _digests_match(pool, sources, [poi.ref])
 
 
 def verify_forward(
@@ -452,46 +466,15 @@ def verify_forward(
     if not _verify_anchors(anchor_refs, pool, root_proofs, anchor_global, commitment.root):
         return False
 
-    out_edges: dict[NodeRef, list[int]] = {ref: [] for ref in pool}
-    for i, e in enumerate(edges):
-        if e.src_ref not in pool or e.dst_ref not in pool:
+    # terminals are leaves: no edge may leave one
+    successors: dict[NodeRef, list[tuple[bytes, NodeRef]]] = {ref: [] for ref in pool}
+    for e in edges:
+        src, dst = pool.get(e.src_ref), pool.get(e.dst_ref)
+        if src is None or dst is None or src.is_terminal:
             return False
-        out_edges[e.src_ref].append(i)
-
-    computed: dict[NodeRef, MsetDigest] = {}
-    in_progress: set[NodeRef] = set()
-    used_edges: set[int] = set()
-    for start in [poi.ref] + anchor_refs:
-        stack: list[tuple[NodeRef, bool]] = [(start, False)]
-        while stack:
-            ref, expand = stack.pop()
-            if expand:
-                in_progress.discard(ref)
-                elems = []
-                for i in out_edges[ref]:
-                    e = edges[i]
-                    dst_pi = computed.get(e.dst_ref)
-                    if dst_pi is None:
-                        return False  # cycle: a successor never finished
-                    dst_rec = pool[e.dst_ref]
-                    marker = terminal_marker(dst_rec.is_terminal, dst_rec.terminal_target)
-                    enc = encode_edge(e, e.src_ref, e.dst_ref)
-                    elems.append(enc + marker + dst_pi.to_bytes())
-                computed[ref] = mset_hash_set(elems)
-                continue
-            if ref in computed or ref in in_progress:
-                continue
-            if pool[ref].is_terminal:
-                computed[ref] = mset_empty()
-                continue
-            in_progress.add(ref)
-            stack.append((ref, True))
-            for i in out_edges[ref]:
-                used_edges.add(i)
-                stack.append((edges[i].dst_ref, False))
-    if len(computed) != len(pool) or len(used_edges) != len(edges):
-        return False
-    return all(computed[ref].value == pool[ref].pi.value for ref in pool)
+        marker = terminal_marker(dst.is_terminal, dst.terminal_target)
+        successors[e.src_ref].append((encode_edge(e, e.src_ref, e.dst_ref) + marker, e.dst_ref))
+    return _digests_match(pool, successors, [poi.ref] + anchor_refs)
 
 
 def _verify_anchors(

@@ -406,7 +406,7 @@ def bench(cli, workload, out, sizes, seed):
 
 
 def _run_bench(workload, sizes, seed):
-    from .dimtree import DimTree, LeafRecord
+    from .dimtree import DimTree, LeafRecord, counters
 
     if workload == "insertion":
         ns = [int(s) for s in sizes.split(",")] if sizes else [2 ** k for k in range(10, 21, 2)]
@@ -414,10 +414,11 @@ def _run_bench(workload, sizes, seed):
         for n in ns:
             tree = DimTree()
             payload = b"\x00" * 32
+            merges0 = counters.internal  # insertion hashes one internal node per merge
             t0 = time.perf_counter()
             for i in range(n):
                 tree.insert(LeafRecord(i, payload))
-            rows.append((n, round(time.perf_counter() - t0, 6), tree.merge_count))
+            rows.append((n, round(time.perf_counter() - t0, 6), counters.internal - merges0))
         return rows
 
     if workload == "digest-updates":

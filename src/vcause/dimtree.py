@@ -196,7 +196,6 @@ class SearchProof:
     leaf: LeafRecord | None
     steps: list[PathStep]
     terminus: Terminus | None
-    leaf_index: int | None = None  # prover-side convenience, not verified
 
     def to_bytes(self) -> bytes:
         out = [u8(1), u8(_REL_TAGS[self.relation]), u128(self.key), flag(self.found)]
@@ -351,9 +350,6 @@ class DimTree:
         self.leaves: list[LeafRecord] = []
         self._stack: list[_Node] = []
         self._root: _Node | None = None
-        self.merge_count = 0  # insertion merges only
-        self.finalize_merge_count = 0
-        self.update_hash_count = 0
 
     def __len__(self) -> int:
         return len(self.leaves)
@@ -370,7 +366,6 @@ class DimTree:
         node = _Node(_leaf_hash(leaf.key, leaf.payload), leaf.key, leaf.key, 1, 1)
         while self._stack and self._stack[-1].height == node.height:
             node = _merge(self._stack.pop(), node)
-            self.merge_count += 1
         self._stack.append(node)
         self.leaves.append(leaf)
         self._root = None
@@ -405,7 +400,6 @@ class DimTree:
             left = parent.left if went_right else fresh
             right = fresh if went_right else parent.right
             fresh = _merge(left, right)
-            self.update_hash_count += 1
         self._stack[slot] = fresh
         self.leaves[leaf_index] = LeafRecord(old.key, new_payload)
         self._root = None
@@ -416,9 +410,6 @@ class DimTree:
         other.leaves = list(self.leaves)
         other._stack = list(self._stack)
         other._root = self._root
-        other.merge_count = self.merge_count
-        other.finalize_merge_count = self.finalize_merge_count
-        other.update_hash_count = self.update_hash_count
         return other
 
     def finalize(self) -> bytes:
@@ -428,7 +419,6 @@ class DimTree:
             acc = self._stack[-1]
             for node in self._stack[-2::-1]:
                 acc = _merge(node, acc)
-                self.finalize_merge_count += 1
             self._root = acc
         return self._root.hash
 
@@ -505,7 +495,7 @@ class DimTree:
         if not satisfied:
             # only reachable when the root itself is a leaf
             return SearchProof(relation, key, False, None, steps, Terminus(leaf, None, None))
-        return SearchProof(relation, key, True, leaf, steps, None, leaf_index=lo)
+        return SearchProof(relation, key, True, leaf, steps, None)
 
     def range_search(self, lo: int, hi: int) -> RangeSearchResult:
         """All leaves with key in [lo, hi], with one interval multiproof."""

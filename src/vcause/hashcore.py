@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.serialization import (
     load_pem_public_key,
 )
 
-from .wire import Reader, WireError, bytes_lp, decode, node_ref, str_lp, u8, u64
+from .wire import Reader, WireError, bytes_lp, decode, node_ref, str_lp, u8
 
 DIGEST_SIZE = 32
 
@@ -39,7 +39,6 @@ _MSET_MASK = (1 << MSET_BITS) - 1
 
 # Domain separation tags. Changing any of these changes every digest.
 _TAG_MSET_ELEM = b"vc:mset-elem\x00"
-_TAG_COMMIT_SIG = b"vc:root-sig\x00"
 _TAG_DIGEST = b"vc:mset-digest\x00"
 
 
@@ -196,12 +195,3 @@ def verify_payload(vk: Ed25519PublicKey, payload: bytes, sig: bytes) -> bool:
         return True
     except InvalidSignature:
         return False
-
-
-def sign_commitment(sk: Ed25519PrivateKey, root: bytes, t: int) -> bytes:
-    """Sign a (root, timestamp) pair; the minimal commitment primitive."""
-    return sign_payload(sk, _TAG_COMMIT_SIG + root + u64(t))
-
-
-def verify_commitment(vk: Ed25519PublicKey, root: bytes, t: int, sig: bytes) -> bool:
-    return verify_payload(vk, _TAG_COMMIT_SIG + root + u64(t), sig)

@@ -73,9 +73,8 @@ class EndpointState:
         self.config = config
         self.graph = Graph(mode=config.mode, depth=config.depth)
         self.acc = Accumulator()
-        self.pending_new: list[NodeRef] = []
-        self._pending_new_set: set[NodeRef] = set()
-        self.pending_dirty: dict[NodeRef, None] = {}
+        self.pending_new: dict[NodeRef, None] = {}  # creation order: dense registry ids
+        self.pending_dirty: set[NodeRef] = set()
         self.events_since_commit = 0
         self.epoch_ends: list[int] = []  # graph.event_count at each flush
 
@@ -83,11 +82,8 @@ class EndpointState:
         res = self.graph.record_event(ev)
         for node in res.created:
             if not node.is_terminal:  # stubs are bound by their parent's digest
-                self.pending_new.append(node.ref)
-                self._pending_new_set.add(node.ref)
-        for ref in sorted(res.updated):
-            if ref not in self._pending_new_set:
-                self.pending_dirty[ref] = None
+                self.pending_new[node.ref] = None
+        self.pending_dirty |= res.updated.difference(self.pending_new)
         self.events_since_commit += 1
 
     def flush(self) -> bytes:
@@ -103,7 +99,6 @@ class EndpointState:
             node = self.graph.node(ref)
             self.acc.update_node(node.entity_ext, node.key, node.leaf_digest())
         self.pending_new.clear()
-        self._pending_new_set.clear()
         self.pending_dirty.clear()
         self.events_since_commit = 0
         self.epoch_ends.append(self.graph.event_count)
@@ -119,9 +114,8 @@ class EndpointState:
         other.config = self.config
         other.graph = self.graph.fork()
         other.acc = self.acc.fork()
-        other.pending_new = list(self.pending_new)
-        other._pending_new_set = set(self._pending_new_set)
-        other.pending_dirty = dict(self.pending_dirty)
+        other.pending_new = dict(self.pending_new)
+        other.pending_dirty = set(self.pending_dirty)
         other.events_since_commit = self.events_since_commit
         other.epoch_ends = list(self.epoch_ends)
         return other

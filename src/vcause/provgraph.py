@@ -11,7 +11,8 @@ Every node carries two multiset digests over its path structure:
 In segmented mode the graph is partitioned into dependency trees: every
 temporal edge is detached onto a digest-empty terminal stub that points at
 its logical destination, and dependency edges that would push a tree past
-the configured depth move their parent into a fresh tree. The outgoing
+the configured depth move their parent into a fresh tree. A tree is the
+set of nodes whose `seg_parent_edge` chains end at its root. The outgoing
 digest of a node then covers only its own tree, so an event touches at most
 depth+1 existing digests instead of every ancestor.
 
@@ -122,8 +123,7 @@ class VersionNode:
     key: TimestampKey
     pi_in: MsetDigest
     pi_out: MsetDigest
-    tree_id: int
-    depth: int
+    depth: int = 0  # dependency depth in the node's tree; real nodes only
     in_edge_ids: list[int] = field(default_factory=list)
     out_edge_ids: list[int] = field(default_factory=list)
     is_terminal: bool = False
@@ -198,8 +198,6 @@ class Graph:
         self.entity_exts: list[str] = []
         self.latest: dict[int, NodeRef] = {}  # entity -> latest real version
         self.versions: dict[int, list[int]] = {}  # entity -> encoded keys, ascending
-        self.trees: dict[int, NodeRef] = {}
-        self.next_tree_id = 0
         self.next_terminal = 0
         self.last_ts = 0
         self.event_count = 0
@@ -224,7 +222,6 @@ class Graph:
             m.pi_in = n.pi_in
             m._pi_in_hash = n._pi_in_hash
             m.pi_out = n.pi_out
-            m.tree_id = n.tree_id
             m.depth = n.depth
             m.in_edge_ids = list(n.in_edge_ids)
             m.out_edge_ids = list(n.out_edge_ids)
@@ -255,8 +252,6 @@ class Graph:
         other.entity_exts = list(self.entity_exts)
         other.latest = dict(self.latest)
         other.versions = {k: list(v) for k, v in self.versions.items()}
-        other.trees = dict(self.trees)
-        other.next_tree_id = self.next_tree_id
         other.next_terminal = self.next_terminal
         other.last_ts = self.last_ts
         other.event_count = self.event_count
@@ -272,12 +267,6 @@ class Graph:
             return self.nodes[ref]
         except KeyError:
             raise UnknownNode(ref) from None
-
-    def latest_node(self, entity_ext: str) -> VersionNode | None:
-        entity_id = self.entity_ids.get(entity_ext)
-        if entity_id is None:
-            return None
-        return self.nodes[self.latest[entity_id]]
 
     def encode_edge_logical(self, edge: Edge) -> bytes:
         if edge._enc_logical is None:
@@ -322,12 +311,6 @@ class Graph:
             self.versions[node.entity_id].append(node.key.encoded())
         return node
 
-    def _new_tree(self, root_ref: NodeRef) -> int:
-        tree_id = self.next_tree_id
-        self.next_tree_id += 1
-        self.trees[tree_id] = root_ref
-        return tree_id
-
     def _create_entry(self, entity_id: int, ts: int) -> VersionNode:
         node = VersionNode(
             entity_id,
@@ -335,12 +318,8 @@ class Graph:
             self._next_key(entity_id, ts),
             mset_empty(),
             mset_empty(),
-            tree_id=-1,
-            depth=0,
         )
         self._add_node(node)
-        if self.mode == SEGMENTED:
-            node.tree_id = self._new_tree(node.ref)
         self.latest[entity_id] = node.ref
         return node
 
@@ -354,8 +333,6 @@ class Graph:
             TimestampKey(ts, 0),
             mset_empty(),
             mset_empty(),
-            tree_id=target.tree_id,
-            depth=target.depth,
             is_terminal=True,
             terminal_target=target.ref,
         )
@@ -404,8 +381,6 @@ class Graph:
             self._next_key(dst_id, ev.ts),
             mset_empty(),  # placeholder until edges exist
             mset_empty(),
-            tree_id=-1,
-            depth=0,
         )
         self._add_node(node)
         created.append(node)
@@ -484,14 +459,13 @@ class Graph:
         parent = self.nodes[dep_edge.src_ref]
         if parent.depth + 1 <= self.depth:
             # Case 1: the edge stays in the parent's tree
-            node.tree_id = parent.tree_id
             node.depth = parent.depth + 1
             self._attach_seg_child(dep_edge, node, updated)
         else:
-            # Case 2: move the parent (with its terminal stubs) to a new
-            # tree and stub its old position. A parent at depth L has no
-            # non-terminal descendants: a dependency child would already
-            # have exceeded the bound.
+            # Case 2: make the parent the root of a new tree and stub its
+            # old position. Its subtree moves with it: a parent at depth L
+            # has only terminal children (a dependency child would already
+            # have exceeded the bound), and they hang off its out-edges.
             stub = self._create_terminal(parent, ev.ts)
             created.append(stub)
             in_edge = (
@@ -499,17 +473,12 @@ class Graph:
                 if parent.seg_parent_edge is not None
                 else None
             )
-            new_tree = self._new_tree(parent.ref)
-            parent.tree_id = new_tree
             parent.depth = 0
             parent.seg_parent_edge = None
             for eid in parent.out_edge_ids:
-                if eid == dep_edge.edge_id:
-                    continue  # the triggering edge; its node is placed below
-                child = self.nodes[self.edges[eid].seg_dst_ref]
-                assert child.is_terminal, "non-terminal child below a depth-L node"
-                child.tree_id = new_tree
-                child.depth = 0
+                if eid != dep_edge.edge_id:  # the triggering edge's node is placed below
+                    child = self.nodes[self.edges[eid].seg_dst_ref]
+                    assert child.is_terminal, "non-terminal child below a depth-L node"
             if in_edge is not None:
                 old_enc = self.encode_edge_seg(in_edge)
                 in_edge.seg_dst_ref = stub.ref
@@ -521,15 +490,11 @@ class Graph:
                     self.encode_edge_seg(in_edge) + stub.pi_out.to_bytes(),
                 )
                 self._bump_chain(grand, swapped, updated)
-            node.tree_id = new_tree
             node.depth = 1
             self._attach_seg_child(dep_edge, node, updated)
 
         if temporal_edge is not None:
-            prev = self.nodes[temporal_edge.src_ref]
             stub = self._create_terminal(node, ev.ts)
-            stub.tree_id = prev.tree_id
-            stub.depth = prev.depth
             created.append(stub)
             temporal_edge.seg_dst_ref = stub.ref
             temporal_edge._enc_seg = None
@@ -635,16 +600,3 @@ class Graph:
             segments.append(Segment(anchor_ref, seg_nodes, seg_edges))
             queue.extend(sorted(t for t in targets if t not in visited))
         return segments
-
-    def flatten_forward(self, segments: list[Segment]) -> tuple[set[NodeRef], set[int]]:
-        """Union of segments in the logical view: terminals dropped, their
-        targets already covered by the segment structure."""
-        refs: set[NodeRef] = set()
-        edge_ids: set[int] = set()
-        for seg in segments:
-            for n in seg.nodes:
-                if not n.is_terminal:
-                    refs.add(n.ref)
-            for e in seg.edges:
-                edge_ids.add(e.edge_id)
-        return refs, edge_ids

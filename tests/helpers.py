@@ -120,6 +120,22 @@ def forward_reachable(graph, ref):
     return nodes, edges
 
 
+def flatten_forward(segments):
+    """Union of forward segments in the logical view: terminals dropped,
+    their targets already covered by the segment structure."""
+    refs = {n.ref for seg in segments for n in seg.nodes if not n.is_terminal}
+    edge_ids = {e.edge_id for seg in segments for e in seg.edges}
+    return refs, edge_ids
+
+
+def tree_root(graph, node):
+    """Root of the dependency tree holding node: the end of its
+    seg_parent_edge chain."""
+    while node.seg_parent_edge is not None:
+        node = graph.nodes[graph.edges[node.seg_parent_edge].src_ref]
+    return node.ref
+
+
 def recompute_pi_in(graph, ref) -> "hashcore.MsetDigest":
     """From-scratch Eq. 3 recomputation over full incoming paths."""
     memo = {}

@@ -5,7 +5,7 @@ import random
 import sys
 from pathlib import Path
 
-from vcause import protocol
+from vcause import dimtree, protocol
 from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze
 from vcause.ingest import SynthConfig, synth
 from vcause.protocol import Admin, Cloud
@@ -35,6 +35,23 @@ def test_replay_and_flush_keep_the_shape_the_benchmark_calls():
     events = list(synth(SynthConfig(seed=5, n_events=40, n_entities=5)))
     ep = Cloud().replay("ep0", events, logger.commitments, logger.state.config)
     assert ep.state.acc.committed_root == logger.commitments[-1].root
+
+
+def test_ingest_keeps_the_state_the_benchmark_reads():
+    """After an ingest the benchmark reads the DIM-Tree hash counters, the
+    graph's digest-update total, the accumulator's sync ops and registry,
+    and every node's terminal flag."""
+    counters = dimtree.counters
+    leaf0, internal0 = counters.leaf, counters.internal
+    logger = synth_logger(seed=5, n_events=40, n_entities=5, interval=20)
+    assert counters.leaf > leaf0 and counters.internal > internal0
+    graph, acc = logger.state.graph, logger.state.acc
+    assert isinstance(graph.total_digest_updates, int) and graph.total_digest_updates >= 40
+    real = [node for node in graph.nodes.values() if node.is_terminal is False]
+    stubs = [node for node in graph.nodes.values() if node.is_terminal is True]
+    assert real and stubs and len(real) + len(stubs) == len(graph.nodes)
+    assert isinstance(acc.sync_ops, int) and acc.sync_ops >= len(real)
+    assert acc.registry_order == graph.entity_exts
 
 
 def test_tamper_controls_reject_every_mutant_of_a_forward_bundle():

@@ -15,13 +15,23 @@ from vcause.causality import (
     ProofBundle,
     WireEdge,
     WireNode,
+    WireSegment,
     analyze,
     verify_backward,
     verify_bundle,
     verify_forward,
 )
-from vcause.hashcore import KeyPair, MsetDigest, digest_hash, mset_add
-from vcause.provgraph import STUB_ID_BIT, EventRecord
+from vcause.commitment import Commitment
+from vcause.hashcore import (
+    KeyPair,
+    MsetDigest,
+    digest_hash,
+    encode_edge,
+    mset_add,
+    mset_empty,
+    mset_hash_set,
+)
+from vcause.provgraph import STUB_ID_BIT, EventRecord, terminal_marker
 
 from .helpers import backward_reachable, build_pipeline, forward_reachable, simple_stream
 
@@ -188,6 +198,17 @@ class TestVerifyBackward:
         victim.pi = mset_add(victim.pi, b"forge")
         assert verify_bundle(kp.verify_key, q, bundle).backward_ok is False
 
+    def test_entry_node_poi_accepted(self):
+        # an entry node has no in-edges: its component is itself, digest-empty
+        logger, kp, c = build_pipeline([ev(1, "w", 2, 5)])
+        q = CausalityQuery("1", le(5), BACKWARD)
+        bundle = run_query(logger, c, q)
+        assert [n.ref for n in bundle.backward_nodes] == [bundle.poi.ref]
+        assert bundle.backward_edges == []
+        assert bundle.backward_nodes[0].pi == mset_empty()
+        report = verify_bundle(kp.verify_key, q, bundle)
+        assert report.accepted and report.backward_ok, report.first_failure
+
 
 class TestVerifyForward:
     def _bundle(self, seed=6, n=250, depth=1):
@@ -244,6 +265,37 @@ class TestVerifyForward:
         _, kp, q, bundle = self._bundle()
         bundle.root_proofs = bundle.root_proofs[:-1] if len(bundle.root_proofs) > 1 else []
         assert verify_bundle(kp.verify_key, q, bundle).forward_ok is False
+
+    def test_edge_leaving_terminal_rejected(self):
+        _, kp, q, bundle = self._bundle()
+        seg = max(bundle.forward_segments, key=lambda s: len(s.nodes))
+        stub = next(n for n in seg.nodes if n.is_terminal)
+        real = next(n for n in seg.nodes if not n.is_terminal)
+        seg.edges.append(WireEdge("dependency", stub.ref, real.ref, "forged"))
+        assert verify_bundle(kp.verify_key, q, bundle).forward_ok is False
+
+    def test_cycle_components_rejected(self):
+        a = WireNode(0, TimestampKey(2, 0), False, None, mset_empty())
+        b = WireNode(1, TimestampKey(3, 0), False, None, mset_empty())
+        a_to_b = WireEdge("dependency", a.ref, b.ref, "w")
+        b_to_a = WireEdge("dependency", b.ref, a.ref, "w")
+        commitment = Commitment("ep0", 1, bytes(32), bytes(32), 3, b"")
+
+        def claim(edge, child_pi):
+            enc = encode_edge(edge, edge.src_ref, edge.dst_ref) + terminal_marker(False, None)
+            return mset_hash_set([enc + child_pi.to_bytes()])
+
+        def verify(edges):
+            poi = causality.PoiRecord(0, a.key, digest_hash(MsetDigest(0)), digest_hash(a.pi))
+            return verify_forward(poi, [WireSegment(a.ref, [a, b], edges)], None, [], commitment)
+
+        a.pi = claim(a_to_b, b.pi)
+        assert verify([a_to_b])
+        # a back edge closes a cycle; the claims are what a walk that cut
+        # the cycle by taking the unfinished POI as empty would compute
+        b.pi = claim(b_to_a, mset_empty())
+        a.pi = claim(a_to_b, b.pi)
+        assert not verify([a_to_b, b_to_a])
 
     def test_terminal_flip_rejected(self):
         _, kp, q, bundle = self._bundle()

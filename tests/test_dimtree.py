@@ -51,17 +51,19 @@ def build(keys) -> DimTree:
 class TestInsert:
     def test_power_of_two_merges(self):
         t = DimTree()
+        before = dimtree.counters.internal
         for i in range(4):
             t.insert(LeafRecord(i, payload(i)))
-        assert t.merge_count == 3
+        assert dimtree.counters.internal - before == 3
         assert len(t._stack) == 1
 
     def test_fifth_leaf_no_merge(self):
         t = DimTree()
+        before = dimtree.counters.internal
         for i in range(5):
             t.insert(LeafRecord(i, payload(i)))
         assert [n.count for n in t._stack] == [4, 1]
-        assert t.merge_count == 3  # unchanged by the fifth insert
+        assert dimtree.counters.internal - before == 3  # unchanged by the fifth insert
 
     def test_out_of_order_rejected(self):
         t = DimTree()
@@ -77,30 +79,35 @@ class TestInsert:
 
     def test_merge_totals_match_popcount(self):
         t = DimTree()
+        before = dimtree.counters.internal
         for n in range(1, 300):
             t.insert(LeafRecord(n, payload(n)))
-            assert t.merge_count == n - bin(n).count("1")
+            assert dimtree.counters.internal - before == n - bin(n).count("1")
 
     def test_large_amortized(self):
         t = DimTree()
         n = 1 << 16
+        before = dimtree.counters.internal
         for i in range(n):
             t.insert(LeafRecord(i, b"\x00" * 32))
-        assert t.merge_count == n - 1
-        assert t.merge_count / n < 1
+        merges = dimtree.counters.internal - before
+        assert merges == n - 1
+        assert merges / n < 1
 
 
 class TestUpdate:
     def test_single_leaf_no_internal_recompute(self):
         t = DimTree()
         t.insert(LeafRecord(1, payload(0)))
+        before = dimtree.counters.internal
         t.update(0, payload(9))
-        assert t.update_hash_count == 0
+        assert dimtree.counters.internal - before == 0
 
     def test_size8_subtree_three_recomputes(self):
         t = build(range(8))
+        before = dimtree.counters.internal
         t.update(3, payload(99))
-        assert t.update_hash_count == 3
+        assert dimtree.counters.internal - before == 3
 
     def test_keys_unchanged(self):
         t = build([2, 4, 6])
@@ -130,28 +137,31 @@ class TestFinalize:
         t = DimTree()
         for i in range(4):
             t.insert(LeafRecord(i, payload(i)))
+        before = dimtree.counters.internal
         t.finalize()
-        assert t.finalize_merge_count == 0
+        assert dimtree.counters.internal - before == 0
 
     def test_three_subtrees_two_merges(self):
         t = DimTree()
         for i in range(7):  # 7 = 4 + 2 + 1
             t.insert(LeafRecord(i, payload(i)))
+        before = dimtree.counters.internal
         t.finalize()
-        assert t.finalize_merge_count == 2
+        assert dimtree.counters.internal - before == 2
 
     def test_idempotent_until_mutation(self):
         t = build(range(7))
-        folds = t.finalize_merge_count
+        before = dimtree.counters.internal
         assert t.finalize() == t.finalize()
-        assert t.finalize_merge_count == folds
+        assert dimtree.counters.internal == before  # no fold without a mutation
         old_root = t.root
         t.insert(LeafRecord(10, payload(10)))
         with pytest.raises(NotFinalized):
             _ = t.root
         t.insert(LeafRecord(11, payload(11)))  # 9 leaves: stack [8, 1]
+        before = dimtree.counters.internal
         assert t.finalize() != old_root
-        assert t.finalize_merge_count == folds + 1
+        assert dimtree.counters.internal - before == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 64, 100, 255])
     def test_matches_naive_build(self, n):

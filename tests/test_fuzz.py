@@ -78,7 +78,7 @@ def snapshot(tmp_path_factory):
 
 
 @given(edits=_EDITS)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_bundle_mutants_rejected(logger, anchored_bundle, edits):
     q, blob = anchored_bundle
     mutant = _mutate(blob, edits)
@@ -93,7 +93,7 @@ def test_bundle_mutants_rejected(logger, anchored_bundle, edits):
 
 
 @given(edits=_EDITS)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_range_proof_mutants_rejected(logger, range_proof, edits):
     ext, a, b, blob = range_proof
     mutant = _mutate(blob, edits)
@@ -111,7 +111,7 @@ def test_range_proof_mutants_rejected(logger, range_proof, edits):
 
 
 @given(edits=_EDITS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_snapshot_mutants_refused_or_canonical(snapshot, edits):
     vk, path, blob = snapshot
     mutant = _mutate(blob, edits)

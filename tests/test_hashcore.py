@@ -1,12 +1,14 @@
 """Primitive-level tests: hashing, multiset group laws, edges, signatures."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcause import hashcore
+from vcause.commitment import make_commitment
 
 # SHA3-256 of the empty string, from the FIPS 202 test vectors.
 SHA3_256_EMPTY = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
@@ -147,39 +149,42 @@ class TestEncodeEdge:
             assert not b.startswith(a) or a == b
 
 
+def _commit(kp, root, t):
+    return make_commitment(kp.signing_key, "ep0", 1, root, hashcore.hash_bytes(b"reg"), t)
+
+
 class TestSignatures:
     def test_sign_verify_roundtrip(self):
         kp = hashcore.KeyPair.generate()
         root = hashcore.hash_bytes(b"root")
-        sig = hashcore.sign_commitment(kp.signing_key, root, 42)
-        assert hashcore.verify_commitment(kp.verify_key, root, 42, sig)
+        assert _commit(kp, root, 42).verify(kp.verify_key)
 
     def test_flipped_root_rejected(self):
         kp = hashcore.KeyPair.generate()
         root = bytearray(hashcore.hash_bytes(b"root"))
-        sig = hashcore.sign_commitment(kp.signing_key, bytes(root), 42)
+        c = _commit(kp, bytes(root), 42)
         root[0] ^= 0x01
-        assert not hashcore.verify_commitment(kp.verify_key, bytes(root), 42, sig)
+        assert not replace(c, root=bytes(root)).verify(kp.verify_key)
 
     def test_timestamp_binding(self):
         kp = hashcore.KeyPair.generate()
-        root = hashcore.hash_bytes(b"root")
-        sig = hashcore.sign_commitment(kp.signing_key, root, 42)
-        assert not hashcore.verify_commitment(kp.verify_key, root, 43, sig)
+        c = _commit(kp, hashcore.hash_bytes(b"root"), 42)
+        assert not replace(c, timestamp=43).verify(kp.verify_key)
 
     def test_any_signature_bitflip_rejected(self):
         kp = hashcore.KeyPair.generate()
-        root = hashcore.hash_bytes(b"r")
-        sig = hashcore.sign_commitment(kp.signing_key, root, 1)
+        c = _commit(kp, hashcore.hash_bytes(b"r"), 1)
+        payload = c.canonical_bytes()
         for i in range(0, 64, 7):
-            bad = bytearray(sig)
+            bad = bytearray(c.signature)
             bad[i] ^= 0x40
-            assert not hashcore.verify_commitment(kp.verify_key, root, 1, bytes(bad))
+            assert not hashcore.verify_payload(kp.verify_key, payload, bytes(bad))
+            assert not replace(c, signature=bytes(bad)).verify(kp.verify_key)
 
     def test_malformed_signature_raises(self):
         kp = hashcore.KeyPair.generate()
         with pytest.raises(hashcore.SignatureError):
-            hashcore.verify_commitment(kp.verify_key, hashcore.hash_bytes(b"r"), 1, b"short")
+            hashcore.verify_payload(kp.verify_key, hashcore.hash_bytes(b"r"), b"short")
 
     def test_pem_roundtrip(self):
         kp = hashcore.KeyPair.generate()

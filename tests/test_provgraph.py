@@ -17,9 +17,11 @@ from vcause.provgraph import (
 
 from .helpers import (
     backward_reachable,
+    flatten_forward,
     forward_reachable,
     recompute_pi_in,
     recompute_pi_out,
+    tree_root,
 )
 
 
@@ -178,10 +180,10 @@ class TestSegmentation:
         g.record_event(ev("a", "w", "b", 1))
         g.record_event(ev("b", "w", "c", 2))
         real = [n for n in g.nodes.values() if not n.is_terminal]
-        assert len({n.tree_id for n in real}) == 2
+        assert len({tree_root(g, n) for n in real}) == 2
         g.record_event(ev("c", "w", "d", 3))
         real = [n for n in g.nodes.values() if not n.is_terminal]
-        assert len({n.tree_id for n in real}) == 3
+        assert len({tree_root(g, n) for n in real}) == 3
 
     def test_depth_bound_holds(self):
         rng = random.Random(9)
@@ -207,11 +209,11 @@ class TestSegmentation:
         s25 = g.nodes[names["S_2^5"]]
         # moved into a fresh tree: parent as root, new node at depth 1
         assert s25.depth == 0 and s46.depth == 1
-        assert s25.tree_id == s46.tree_id
-        assert g.trees[s25.tree_id] == s25.ref
+        assert tree_root(g, s25) == tree_root(g, s46)
+        assert tree_root(g, s25) == s25.ref
         # old tree gained a terminal at the parent's old position
         stubs = [n for n in res.created if n.is_terminal and n.terminal_target == s25.ref]
-        assert len(stubs) == 1 and stubs[0].tree_id == g.nodes[names["S_1^4"]].tree_id
+        assert len(stubs) == 1 and tree_root(g, stubs[0]) == tree_root(g, g.nodes[names["S_1^4"]])
         # digest updates: old tree {S_1^4, S_0^1}, new tree {S_2^5}
         want = {names["S_1^4"], names["S_0^1"], names["S_2^5"]}
         assert res.updated == want
@@ -329,7 +331,7 @@ class TestTraversals:
                 if g.nodes[ref].is_terminal:
                     continue
                 segs = g.collect_forward(ref)
-                refs, edge_ids = g.flatten_forward(segs)
+                refs, edge_ids = flatten_forward(segs)
                 want_nodes, want_edges = forward_reachable(g, ref)
                 assert refs == want_nodes
                 assert edge_ids == want_edges
@@ -348,7 +350,7 @@ class TestTraversals:
 
         for ref, node in unseg.nodes.items():
             seg_ref = (seg.entity_ids[node.entity_ext], node.key.encoded())
-            refs, edge_ids = seg.flatten_forward(seg.collect_forward(seg_ref))
-            want_refs, want_edges = unseg.flatten_forward(unseg.collect_forward(ref))
+            refs, edge_ids = flatten_forward(seg.collect_forward(seg_ref))
+            want_refs, want_edges = flatten_forward(unseg.collect_forward(ref))
             assert ext(seg, refs) == ext(unseg, want_refs)
             assert edge_ids == want_edges  # edge ids are mode-independent
