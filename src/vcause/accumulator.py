@@ -263,9 +263,6 @@ class Accumulator:
         self.locals: dict[int, DimTree] = {}
         self.global_tree = DimTree()
         self._dirty: set[int] = set()
-        self._new: set[int] = set()
-        self._committed_root: bytes | None = None
-        self._committed_entities = 0
         self._registry_hasher = hashlib.sha3_256(_REGISTRY_TAG)
         self._committed_registry_digest = registry_digest_of([])
         self.sync_ops = 0  # register + update calls, for commitment batching tests
@@ -278,9 +275,6 @@ class Accumulator:
         other.locals = {k: t.fork() for k, t in self.locals.items()}
         other.global_tree = self.global_tree.fork()
         other._dirty = set(self._dirty)
-        other._new = set(self._new)
-        other._committed_root = self._committed_root
-        other._committed_entities = self._committed_entities
         other._registry_hasher = self._registry_hasher.copy()
         other._committed_registry_digest = self._committed_registry_digest
         other.sync_ops = self.sync_ops
@@ -295,7 +289,6 @@ class Accumulator:
             self.registry[entity_ext] = internal
             self.registry_order.append(entity_ext)
             self.locals[internal] = DimTree()
-            self._new.add(internal)
             self._registry_hasher.update(str_lp(entity_ext))
         return internal
 
@@ -327,31 +320,32 @@ class Accumulator:
         self.sync_ops += 1
 
     def commit(self) -> bytes:
-        """Finalize dirty locals, fold them into the global tree, return R."""
+        """Finalize dirty locals, fold them into the global tree, return R.
+
+        Only commit() writes the global tree, so between commits its leaves
+        are the committed entities and its finalized root is the committed R.
+        """
         if not self.locals:
             raise dimtree.EmptyTree("nothing registered")
         for internal in sorted(self._dirty):
             local_root = self.locals[internal].finalize()
             payload = global_leaf_digest(self.registry_order[internal], local_root)
-            if internal in self._new:
-                self.global_tree.insert(LeafRecord(internal, payload))
-            else:
+            if internal < len(self.global_tree):
                 self.global_tree.update(internal, payload)
+            else:  # dense ids: a new entity's leaf appends in id order
+                self.global_tree.insert(LeafRecord(internal, payload))
         self._dirty.clear()
-        self._new.clear()
-        self._committed_root = self.global_tree.finalize()
-        self._committed_entities = len(self.registry_order)
         self._committed_registry_digest = self._registry_hasher.copy().digest()
-        return self._committed_root
+        return self.global_tree.finalize()
 
     @property
     def committed_root(self) -> bytes:
-        if self._committed_root is None:
+        if not self.global_tree.finalized:
             raise NotCommitted("commit() has not run")
-        return self._committed_root
+        return self.global_tree.root
 
     def committed_registry(self) -> list[str]:
-        return self.registry_order[: self._committed_entities]
+        return self.registry_order[: len(self.global_tree)]
 
     def registry_digest(self) -> bytes:
         return self._committed_registry_digest
@@ -360,17 +354,17 @@ class Accumulator:
 
     def _committed_id(self, entity_ext: str) -> int | None:
         internal = self.registry.get(entity_ext)
-        if internal is None or internal >= self._committed_entities:
+        if internal is None or internal >= len(self.global_tree):
             return None
         return internal
 
     def prove_node(self, entity_ext: str, relation: Relation) -> NodeProofResult:
-        if self._committed_root is None:
+        if not self.global_tree.finalized:
             raise NotCommitted("commit() has not run")
         internal = self._committed_id(entity_ext)
         if internal is None:
             # absence of the next dense id doubles as a tree-bounds proof
-            gp = self.global_tree.search_exact(self._committed_entities)
+            gp = self.global_tree.search_exact(len(self.global_tree))
             proof = NodeProof(
                 KIND_NONMEMBER_GLOBAL, entity_ext, None, gp, None,
                 registry=self.committed_registry(),
@@ -386,13 +380,13 @@ class Accumulator:
         )
 
     def prove_range(self, entity_ext: str, a: int, b: int) -> RangeResult:
-        if self._committed_root is None:
+        if not self.global_tree.finalized:
             raise NotCommitted("commit() has not run")
         if a > b:
             raise ValueError("invalid range: a > b")
         internal = self._committed_id(entity_ext)
         if internal is None:
-            gp = self.global_tree.search_exact(self._committed_entities)
+            gp = self.global_tree.search_exact(len(self.global_tree))
             return RangeResult(
                 False, [],
                 RangeProof(entity_ext, None, gp, None, registry=self.committed_registry()),
@@ -410,7 +404,7 @@ class Accumulator:
         """Membership of committed leaves, given as {internal id: keys}: one
         global multiproof over the internal ids and one local multiproof
         per entity, in internal-id order."""
-        if self._committed_root is None:
+        if not self.global_tree.finalized:
             raise NotCommitted("commit() has not run")
         ids = sorted(keys)
         global_proof, _ = self.global_tree.multiproof(dimtree.key_set(ids))

@@ -48,10 +48,6 @@ _DIRECTION_TAGS = {BACKWARD: 0, FORWARD: 1, BOTH: 2}
 _DIRECTION_FROM_TAG = {v: k for k, v in _DIRECTION_TAGS.items()}
 
 
-class NotCommitted(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class CausalityQuery:
     entity_ext: str

@@ -145,7 +145,7 @@ def _read_vk(cli):
         raise click.ClickException(f"cannot load the endpoint's public key: {exc}")
 
 
-def _load_snapshot(cli, vk) -> tuple[str, int, protocol.EndpointState, list]:
+def _load_snapshot(cli, vk) -> tuple[str, protocol.EndpointState, list]:
     """Load state.bin; its commitments must verify under vk."""
     snap = cli.path("state.bin")
     if not os.path.exists(snap):
@@ -162,10 +162,9 @@ def _load_endpoint(cli) -> protocol.EndpointLogger:
         raise click.ClickException(
             f"{cli.path('key.pem')} is missing; the endpoint key is required to sign"
         )
-    endpoint_id, epoch, state, commitments = _load_snapshot(cli, _read_vk(cli))
+    endpoint_id, state, commitments = _load_snapshot(cli, _read_vk(cli))
     logger = protocol.EndpointLogger(endpoint_id, _read_keys(cli), state.config)
     logger.state = state
-    logger.epoch = epoch
     logger.commitments = commitments
     return logger
 
@@ -224,9 +223,9 @@ def ingest_cmd(cli, log, mode, depth, interval, endpoint_id, lenient):
     _save_endpoint(cli, logger)
     cli.emit(
         {"events": len(events), "skipped": stats.skipped,
-         "epochs": logger.epoch, "final_root": logger.commitments[-1].root.hex()},
+         "epochs": len(logger.commitments), "final_root": logger.commitments[-1].root.hex()},
         f"ingested {len(events)} events ({stats.skipped} skipped), "
-        f"{logger.epoch} epochs, final root {logger.commitments[-1].root.hex()}",
+        f"{len(logger.commitments)} epochs, final root {logger.commitments[-1].root.hex()}",
     )
 
 
@@ -258,7 +257,7 @@ def _parse_query(entity, at, relation, direction) -> CausalityQuery:
 @click.pass_obj
 def query(cli, entity, at, relation, direction, out):
     """Run a causality query; write the proof bundle and a summary."""
-    _, _, state, commitments = _load_snapshot(cli, _read_vk(cli))
+    _, state, commitments = _load_snapshot(cli, _read_vk(cli))
     q = _parse_query(entity, at, relation, direction)
     bundle = causality.analyze(state.graph, state.acc, commitments[-1], q)
     blob = bundle.to_bytes()
@@ -350,7 +349,7 @@ def verify(cli, bundle_path, vk, entity, at, relation, direction, min_epoch):
 def tamper(cli, kind, seed):
     """Apply a mutation to the cloud state and show the rejection."""
     vk = _read_vk(cli)
-    _, _, state, commitments = _load_snapshot(cli, vk)
+    _, state, commitments = _load_snapshot(cli, vk)
     latest_epoch = commitments[-1].epoch
     ep = protocol.CloudEndpoint(state, list(commitments))
     rng = random.Random(seed)

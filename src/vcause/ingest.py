@@ -1,14 +1,12 @@
 """Log ingestion and synthetic workload generation.
 
 The canonical input is JSONL, one event per line with keys src, action,
-dst, ts and an optional hex payload. A thin CSV adapter covers simple
-audit-event dumps. Kernel-logger formats (auditd, Falco) are out of scope;
-adapting them means emitting this JSONL shape.
+dst, ts and an optional hex payload. Kernel-logger formats (auditd,
+Falco) are out of scope; adapting them means emitting this JSONL shape.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -99,31 +97,6 @@ def emit_jsonl(events) -> str:
             obj["payload"] = ev.payload.hex()
         lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_csv(stream, strict: bool = True, stats: ParseStats | None = None):
-    """CSV adapter: header row with src,action,dst,ts columns."""
-    reader = csv.DictReader(stream)
-    for line_no, row in enumerate(reader, 2):
-        try:
-            ts = int(row["ts"])
-            event = _event_from_obj(
-                {"src": row["src"], "action": row["action"], "dst": row["dst"], "ts": ts},
-                line_no,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ParseError):
-                err = exc
-            else:
-                err = ParseError(line_no, "malformed csv row")
-            if strict:
-                raise err from None
-            if stats:
-                stats.skipped += 1
-            continue
-        if stats:
-            stats.accepted += 1
-        yield event
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ import os
 from dataclasses import dataclass, field
 
 from . import causality
-from .accumulator import Accumulator, TimestampKey
+from .accumulator import Accumulator, NotCommitted, TimestampKey
 from .commitment import Commitment, make_commitment
-from .dimtree import EmptyTree
 from .hashcore import mset_add
 from .provgraph import (
     DEPENDENCY,
@@ -75,7 +74,6 @@ class EndpointState:
         self.acc = Accumulator()
         self.pending_new: dict[NodeRef, None] = {}  # creation order: dense registry ids
         self.pending_dirty: set[NodeRef] = set()
-        self.events_since_commit = 0
         self.epoch_ends: list[int] = []  # graph.event_count at each flush
 
     def apply_event(self, ev: EventRecord) -> None:
@@ -84,7 +82,10 @@ class EndpointState:
             if not node.is_terminal:  # stubs are bound by their parent's digest
                 self.pending_new[node.ref] = None
         self.pending_dirty |= res.updated.difference(self.pending_new)
-        self.events_since_commit += 1
+
+    @property
+    def events_since_commit(self) -> int:
+        return self.graph.event_count - (self.epoch_ends[-1] if self.epoch_ends else 0)
 
     def flush(self) -> bytes:
         """Sync pending nodes into the accumulator and commit; returns R.
@@ -100,7 +101,6 @@ class EndpointState:
             self.acc.update_node(node.entity_ext, node.key, node.leaf_digest())
         self.pending_new.clear()
         self.pending_dirty.clear()
-        self.events_since_commit = 0
         self.epoch_ends.append(self.graph.event_count)
         return self.acc.commit()
 
@@ -116,7 +116,6 @@ class EndpointState:
         other.acc = self.acc.fork()
         other.pending_new = dict(self.pending_new)
         other.pending_dirty = set(self.pending_dirty)
-        other.events_since_commit = self.events_since_commit
         other.epoch_ends = list(self.epoch_ends)
         return other
 
@@ -128,7 +127,6 @@ class EndpointLogger:
         self.endpoint_id = endpoint_id
         self.keypair = keypair
         self.state = EndpointState(config)
-        self.epoch = 0
         self.commitments: list[Commitment] = []
 
     def ingest(self, ev: EventRecord) -> Commitment | None:
@@ -139,13 +137,12 @@ class EndpointLogger:
 
     def commit(self) -> Commitment:
         root = self.state.flush()
-        self.epoch += 1
         # the signed timestamp is the stream's high-water mark, so logger
         # and cloud replay produce identical commitments deterministically
         c = make_commitment(
             self.keypair.signing_key,
             self.endpoint_id,
-            self.epoch,
+            len(self.commitments) + 1,
             root,
             self.state.acc.registry_digest(),
             self.state.graph.last_ts,
@@ -154,20 +151,35 @@ class EndpointLogger:
         return c
 
 
-def check_epoch(state: EndpointState, commitments: list[Commitment], epoch: int) -> None:
-    """Flush state as epoch `epoch` and compare it with that signed commitment.
+def replay_epochs(state: EndpointState, events: list[EventRecord],
+                  commitments: list[Commitment], ends: list[int]) -> None:
+    """Replay `events` into `state` one epoch at a time. Epoch k covers the
+    first ends[k - 1] events; once they are applied, the state is flushed
+    and its root and registry digest are compared with commitments[k - 1].
+    Cloud.replay and load_state share these rules.
 
-    Raises RootMismatch if the recomputed root or registry digest disagrees,
-    or if no commitment covers the epoch.
+    Raises RootMismatch for an end outside done..len(events), an empty
+    first epoch, a clock regression, a root or registry digest that differs
+    from the signed one, or an event past the last commitment.
     """
-    root = state.flush()
-    if epoch > len(commitments):
-        raise RootMismatch(epoch, "events beyond the last commitment")
-    expected = commitments[epoch - 1]
-    if expected.root != root:
-        raise RootMismatch(epoch)
-    if expected.registry_digest != state.acc.registry_digest():
-        raise RootMismatch(epoch, "registry digest diverged")
+    done = 0
+    for epoch, (expected, end) in enumerate(zip(commitments, ends, strict=True), 1):
+        lo = max(done, 1)  # epoch 1 must add events: an empty accumulator has no root
+        if not lo <= end <= len(events):
+            raise RootMismatch(epoch, f"ends at event {end}, outside {lo}..{len(events)}")
+        try:
+            for ev in events[done:end]:
+                state.apply_event(ev)
+        except ClockRegression as exc:
+            raise RootMismatch(epoch, str(exc)) from exc
+        done = end
+        if state.flush() != expected.root:
+            raise RootMismatch(epoch)
+        if state.acc.registry_digest() != expected.registry_digest:
+            raise RootMismatch(epoch, "registry digest diverged")
+    if done != len(events):
+        raise RootMismatch(len(commitments) + 1,
+                           f"{len(events) - done} events past the last commitment")
 
 
 @dataclass
@@ -191,22 +203,15 @@ class Cloud:
     ) -> CloudEndpoint:
         """Rebuild an endpoint's state, checking every commitment boundary.
 
-        Raises RootMismatch at the first epoch whose recomputed root (or
-        registry digest) disagrees with the logger's signed commitment.
+        Epoch k ends after min(k * commit_interval, len(events)) events.
+        Raises RootMismatch as replay_epochs does.
         """
+        events = list(events)
         ep = CloudEndpoint(EndpointState(config), list(commitments))
         self.endpoints[endpoint_id] = ep
-        epoch = 0
-        for ev in events:
-            ep.state.apply_event(ev)
-            if ep.state.events_since_commit >= config.commit_interval:
-                epoch += 1
-                check_epoch(ep.state, ep.commitments, epoch)
-        if epoch < len(ep.commitments) and ep.state.events_since_commit > 0:
-            epoch += 1
-            check_epoch(ep.state, ep.commitments, epoch)
-        if epoch != len(ep.commitments):
-            raise RootMismatch(epoch + 1, "commitment without matching events")
+        ends = [min(k * config.commit_interval, len(events))
+                for k in range(1, len(commitments) + 1)]
+        replay_epochs(ep.state, events, ep.commitments, ends)
         return ep
 
     def analyze(self, endpoint_id: str, query: causality.CausalityQuery) -> causality.ProofBundle:
@@ -214,7 +219,7 @@ class Cloud:
         if ep is None:
             raise UnknownEndpoint(endpoint_id)
         if not ep.commitments:
-            raise causality.NotCommitted("endpoint has no commitments")
+            raise NotCommitted("endpoint has no commitments")
         return causality.analyze(ep.state.graph, ep.state.acc, ep.commitments[-1], query)
 
 
@@ -280,9 +285,9 @@ class TamperReceipt:
 
 
 def _last_at_its_timestamp(graph, node) -> bool:
-    keys = graph.versions[node.entity_id]
-    i = keys.index(node.key.encoded())
-    return i + 1 == len(keys) or keys[i + 1] >> 32 != node.key.timestamp
+    # versions at one timestamp take consecutive seqs
+    following = TimestampKey(node.key.timestamp, node.key.seq + 1)
+    return (node.entity_id, following.encoded()) not in graph.nodes
 
 
 def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
@@ -339,11 +344,10 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
             edge = graph.edges[eid]
             graph.nodes[edge.src_ref].out_edge_ids.remove(eid)
         del graph.nodes[victim.ref]
-        graph.versions[victim.entity_id].remove(victim.key.encoded())
         if graph.latest.get(victim.entity_id) == victim.ref:
-            keys = graph.versions[victim.entity_id]
-            if keys:
-                graph.latest[victim.entity_id] = (victim.entity_id, keys[-1])
+            refs = [ref for ref in graph.nodes if ref[0] == victim.entity_id]
+            if refs:
+                graph.latest[victim.entity_id] = max(refs)
             else:
                 del graph.latest[victim.entity_id]
         # the deleted node's absence shows up in its parent's forward digest
@@ -402,13 +406,12 @@ def save_state(path: str, endpoint_id: str, state: EndpointState,
     os.replace(tmp, path)
 
 
-def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]]:
+def load_state(path: str, vk) -> tuple[str, EndpointState, list[Commitment]]:
     """Inverse of save_state. Every stored commitment must verify under vk
-    and name the snapshot's endpoint, and their epochs must run 1..n; the
-    endpoint's epoch is n. Each epoch's events then replay through
-    EndpointState and the epoch is checked against its commitment, as
-    Cloud.replay checks it, so the replay binds every stored event. Any
-    fault raises WireError."""
+    and name the snapshot's endpoint, and their epochs must run 1..n. The
+    stored events then replay through replay_epochs at the stored epoch
+    ends, the rules Cloud.replay follows, so the replay binds every stored
+    event. Any fault raises WireError."""
     with open(path, "rb") as fh:
         r = Reader(fh.read())
     if r.take(len(_SNAP_MAGIC)) != _SNAP_MAGIC:
@@ -433,17 +436,8 @@ def load_state(path: str, vk) -> tuple[str, int, EndpointState, list[Commitment]
             raise WireError(f"commitment {epoch} carries epoch {c.epoch}")
 
     state = EndpointState(config)
-    done = 0
     try:
-        for epoch, (_, end) in enumerate(stored, 1):
-            if not done <= end <= len(events):
-                raise WireError(f"epoch {epoch} ends at event {end}, outside {done}..{len(events)}")
-            for ev in events[done:end]:
-                state.apply_event(ev)
-            done = end
-            check_epoch(state, commitments, epoch)
-    except (ClockRegression, RootMismatch, EmptyTree) as exc:
+        replay_epochs(state, events, commitments, [end for _, end in stored])
+    except RootMismatch as exc:
         raise WireError(f"stored events do not replay to the commitments: {exc}") from exc
-    if done != len(events):
-        raise WireError(f"{len(events) - done} events past the last commitment")
-    return endpoint_id, len(commitments), state, commitments
+    return endpoint_id, state, commitments

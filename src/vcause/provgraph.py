@@ -197,7 +197,6 @@ class Graph:
         self.entity_ids: dict[str, int] = {}
         self.entity_exts: list[str] = []
         self.latest: dict[int, NodeRef] = {}  # entity -> latest real version
-        self.versions: dict[int, list[int]] = {}  # entity -> encoded keys, ascending
         self.next_terminal = 0
         self.last_ts = 0
         self.event_count = 0
@@ -251,7 +250,6 @@ class Graph:
         other.entity_ids = dict(self.entity_ids)
         other.entity_exts = list(self.entity_exts)
         other.latest = dict(self.latest)
-        other.versions = {k: list(v) for k, v in self.versions.items()}
         other.next_terminal = self.next_terminal
         other.last_ts = self.last_ts
         other.event_count = self.event_count
@@ -292,13 +290,12 @@ class Graph:
             entity_id = len(self.entity_exts)
             self.entity_ids[ext] = entity_id
             self.entity_exts.append(ext)
-            self.versions[entity_id] = []
         return entity_id
 
     def _next_key(self, entity_id: int, ts: int) -> TimestampKey:
-        keys = self.versions[entity_id]
-        if keys:
-            last = TimestampKey.from_encoded(keys[-1])
+        ref = self.latest.get(entity_id)
+        if ref is not None:
+            last = TimestampKey.from_encoded(ref[1])
             if last.timestamp == ts:
                 return TimestampKey(ts, last.seq + 1)
         return TimestampKey(ts, 0)
@@ -307,8 +304,6 @@ class Graph:
         node.created_seq = self._created_seq
         self._created_seq += 1
         self.nodes[node.ref] = node
-        if not node.is_terminal:
-            self.versions[node.entity_id].append(node.key.encoded())
         return node
 
     def _create_entry(self, entity_id: int, ts: int) -> VersionNode:

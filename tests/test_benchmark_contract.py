@@ -7,6 +7,7 @@ from pathlib import Path
 
 from vcause import dimtree, protocol
 from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze
+from vcause.hashcore import KeyPair
 from vcause.ingest import SynthConfig, synth
 from vcause.protocol import Admin, Cloud
 
@@ -35,6 +36,35 @@ def test_replay_and_flush_keep_the_shape_the_benchmark_calls():
     events = list(synth(SynthConfig(seed=5, n_events=40, n_entities=5)))
     ep = Cloud().replay("ep0", events, logger.commitments, logger.state.config)
     assert ep.state.acc.committed_root == logger.commitments[-1].root
+
+
+def test_replay_flushes_once_per_commitment_through_the_class(monkeypatch):
+    """The benchmark's RootLog wraps EndpointState.flush on the class and
+    expects one root per commitment from Cloud.replay."""
+    logger = synth_logger(seed=5, n_events=50, n_entities=5, interval=20)
+    events = list(synth(SynthConfig(seed=5, n_events=50, n_entities=5)))
+    flush = protocol.EndpointState.flush
+    roots = []
+
+    def logged_flush(state):
+        roots.append(flush(state))
+        return roots[-1]
+
+    monkeypatch.setattr(protocol.EndpointState, "flush", logged_flush)
+    Cloud().replay("ep0", events, logger.commitments, logger.state.config)
+    assert roots == [c.root for c in logger.commitments] and len(roots) == 3
+
+
+def test_events_since_commit_counts_events_since_the_last_flush():
+    """The benchmark commits a trailing partial epoch when
+    logger.state.events_since_commit is nonzero."""
+    logger = protocol.EndpointLogger("ep0", KeyPair.generate(), protocol.StateConfig())
+    events = list(synth(SynthConfig(seed=5, n_events=7, n_entities=5)))
+    for n, ev in enumerate(events, 1):
+        logger.ingest(ev)
+        assert logger.state.events_since_commit == n
+    logger.commit()
+    assert logger.state.events_since_commit == 0
 
 
 def test_ingest_keeps_the_state_the_benchmark_reads():

@@ -117,7 +117,7 @@ def test_snapshot_mutants_refused_or_canonical(snapshot, edits):
     mutant = _mutate(blob, edits)
     path.write_bytes(mutant)
     try:
-        endpoint_id, _, state, commitments = load_state(str(path), vk)
+        endpoint_id, state, commitments = load_state(str(path), vk)
     except WireError:
         return
     save_state(str(path), endpoint_id, state, commitments)

@@ -1,6 +1,5 @@
 """Log parsing, round-trips, and synthetic workload statistics."""
 
-import io
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from vcause.ingest import (
     ParseStats,
     SynthConfig,
     emit_jsonl,
-    parse_csv,
     parse_jsonl,
     synth,
 )
@@ -81,7 +79,7 @@ class TestParseJsonl:
         assert stats.accepted + stats.skipped + blank == len(lines)
 
     @given(st.binary(max_size=200))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     def test_single_arbitrary_line_never_crashes_lenient(self, raw):
         list(parse_jsonl([raw], strict=False))
 
@@ -98,24 +96,6 @@ class TestParseJsonl:
         assert emit_jsonl(again) == text
 
 
-
-
-class TestParseCsv:
-    def test_basic(self):
-        text = "src,action,dst,ts\na,write,b,5\nb,read,c,6\n"
-        events = list(parse_csv(io.StringIO(text)))
-        assert events == [EventRecord("a", "write", "b", 5), EventRecord("b", "read", "c", 6)]
-
-    def test_bad_row_strict(self):
-        text = "src,action,dst,ts\na,write,b,notanint\n"
-        with pytest.raises(ParseError):
-            list(parse_csv(io.StringIO(text)))
-
-    def test_bad_row_lenient(self):
-        text = "src,action,dst,ts\na,write,b,xx\na,write,b,7\n"
-        stats = ParseStats()
-        events = list(parse_csv(io.StringIO(text), strict=False, stats=stats))
-        assert len(events) == 1 and stats.skipped == 1
 
 
 class TestSynth:
@@ -174,4 +154,4 @@ class TestSynth:
             logger.ingest(ev)
             count += 1
         assert count == 5000
-        assert logger.epoch == 5
+        assert len(logger.commitments) == 5

@@ -145,7 +145,7 @@ class TestTerminalStubs:
         blob = path.read_bytes()
         tree = logger.state.acc.locals[0]
         assert all(leaf.payload not in blob for leaf in tree.leaves)
-        _, _, state, _ = load_state(str(path), logger.keypair.verify_key)
+        _, state, _ = load_state(str(path), logger.keypair.verify_key)
         assert state.acc.registry_order == state.graph.entity_exts
         assert state.acc.committed_root == logger.commitments[-1].root
 
@@ -214,6 +214,67 @@ class TestCloudReplay:
         with pytest.raises(UnknownEndpoint):
             Cloud().analyze("nope", CausalityQuery("x", le(1), BOTH))
 
+    def test_analyze_without_commitments_is_not_committed(self):
+        cloud = Cloud()
+        cloud.replay("ep0", [], [], StateConfig())
+        with pytest.raises(acc_mod.NotCommitted):
+            cloud.analyze("ep0", CausalityQuery("x", le(1), BOTH))
+
+
+class TestReplayRules:
+    """Cloud.replay and load_state replay a log under the same rules."""
+
+    interval = 50
+
+    def _logged(self, n_events, extra=0):
+        """A logger over the first n_events of a stream, all committed, and
+        the stream with `extra` more events."""
+        stream = simple_stream(random.Random(15), n_events + extra, 6)
+        logger = make_logger(interval=self.interval)
+        for e in stream[:n_events]:
+            logger.ingest(e)
+        if logger.state.events_since_commit:
+            logger.commit()
+        return stream, logger
+
+    def _load(self, tmp_path, logger):
+        path = str(tmp_path / "state.bin")
+        save_state(path, "ep0", logger.state, logger.commitments)
+        return load_state(path, logger.keypair.verify_key)
+
+    @pytest.mark.parametrize("trailing", [1, interval - 1])
+    def test_events_past_the_last_commitment_rejected(self, tmp_path, trailing):
+        stream, logger = self._logged(2 * self.interval, trailing)
+        with pytest.raises(RootMismatch, match="past the last commitment"):
+            Cloud().replay("ep0", stream, logger.commitments, logger.state.config)
+        for ev in stream[2 * self.interval:]:
+            logger.state.apply_event(ev)
+        logger.state.flush()  # quiescent, but no commitment signs these events
+        with pytest.raises(WireError, match="past the last commitment"):
+            self._load(tmp_path, logger)
+
+    def test_final_commitment_without_new_events_accepted(self, tmp_path):
+        stream, logger = self._logged(120)
+        logger.commit()
+        assert len(logger.commitments) == 4
+        ep = Cloud().replay("ep0", stream, logger.commitments, logger.state.config)
+        assert ep.state.acc.committed_root == logger.commitments[-1].root
+        _, state, commitments = self._load(tmp_path, logger)
+        assert state.epoch_ends == logger.state.epoch_ends == [50, 100, 120, 120]
+        assert [c.to_bytes() for c in commitments] == [c.to_bytes() for c in logger.commitments]
+
+    def test_clock_regression_rejected(self, tmp_path):
+        stream, logger = self._logged(2 * self.interval)
+        i = next(i for i in range(len(stream) - 1) if stream[i].ts < stream[i + 1].ts)
+        broken = list(stream)
+        broken[i], broken[i + 1] = stream[i + 1], stream[i]
+        with pytest.raises(RootMismatch, match="high-water mark"):
+            Cloud().replay("ep0", broken, logger.commitments, logger.state.config)
+        edges = [e for e in logger.state.graph.edges if e.kind == "dependency"]
+        edges[i].timestamp, edges[i + 1].timestamp = edges[i + 1].timestamp, edges[i].timestamp
+        with pytest.raises(WireError, match="high-water mark"):
+            self._load(tmp_path, logger)
+
 
 class TestAdmin:
     def _world(self, seed=10, n=300, interval=100):
@@ -281,8 +342,8 @@ class TestSnapshots:
             logger.commit()
         path = str(tmp_path / "state.bin")
         save_state(path, "ep0", logger.state, logger.commitments)
-        endpoint_id, epoch, state, commitments = load_state(path, logger.keypair.verify_key)
-        assert endpoint_id == "ep0" and epoch == logger.epoch
+        endpoint_id, state, commitments = load_state(path, logger.keypair.verify_key)
+        assert endpoint_id == "ep0"
         assert [c.to_bytes() for c in commitments] == [
             c.to_bytes() for c in logger.commitments
         ]
@@ -311,7 +372,7 @@ class TestSnapshots:
         logger.commit()
         path = str(tmp_path / "state.bin")
         save_state(path, "ep0", logger.state, logger.commitments)
-        _, _, state, commitments = load_state(path, logger.keypair.verify_key)
+        _, state, commitments = load_state(path, logger.keypair.verify_key)
         from vcause.causality import analyze, verify_bundle
 
         q = CausalityQuery("2", le(state.graph.last_ts), BOTH)
@@ -418,11 +479,15 @@ class TestSnapshotEpochs:
         return logger
 
     def test_epoch_is_the_commitment_count(self, tmp_path):
+        """A logger rebuilt from a snapshot signs its next commitment as
+        epoch n + 1, n being the stored commitment count."""
         logger = self._logger()
         path = str(tmp_path / "state.bin")
         save_state(path, "ep0", logger.state, logger.commitments)
-        _, epoch, _, commitments = load_state(path, logger.keypair.verify_key)
-        assert epoch == len(commitments) == logger.epoch
+        endpoint_id, state, commitments = load_state(path, logger.keypair.verify_key)
+        reloaded = EndpointLogger(endpoint_id, logger.keypair, state.config)
+        reloaded.state, reloaded.commitments = state, commitments
+        assert reloaded.commit().epoch == len(logger.commitments) + 1 == logger.commit().epoch
 
     def test_skipped_commitment_epoch_refused(self, tmp_path):
         logger = self._logger()

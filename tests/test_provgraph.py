@@ -81,7 +81,8 @@ class TestRecordEvent:
         g = Graph()
         g.record_event(ev(1, "w", 2, 5))
         g.record_event(ev(1, "w", 2, 5))
-        keys = [TimestampKey.from_encoded(k) for k in g.versions[g.entity_ids["2"]]]
+        entity = g.entity_ids["2"]
+        keys = [TimestampKey.from_encoded(k) for e, k in g.nodes if e == entity]
         assert keys == [TimestampKey(5, 0), TimestampKey(5, 1)]
 
     def test_self_event(self):
