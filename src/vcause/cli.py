@@ -31,6 +31,8 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_MALFORMED = 2
 
+_TIMESTAMP = click.IntRange(0, ingest.U64_MAX)
+
 
 class CliState:
     def __init__(self, state_dir: str, fmt: str):
@@ -115,6 +117,7 @@ def _write_commitment_log(cli, commitments) -> None:
             fh.write(json.dumps({
                 "endpoint_id": c.endpoint_id,
                 "epoch": c.epoch,
+                "event_count": c.event_count,
                 "root": c.root.hex(),
                 "registry_digest": c.registry_digest.hex(),
                 "timestamp": c.timestamp,
@@ -169,8 +172,14 @@ def _load_endpoint(cli) -> protocol.EndpointLogger:
     return logger
 
 
+def _emit_commitment(cli, c, note: str = "") -> None:
+    size = len(c.to_bytes())
+    cli.emit({"epoch": c.epoch, "root": c.root.hex(), "bytes": size},
+             f"epoch {c.epoch}  root {c.root.hex()}  {size} bytes{note}")
+
+
 @main.command("ingest")
-@click.argument("log", type=str)
+@click.argument("log", type=click.File("r"))
 @click.option("--mode", type=click.Choice([SEGMENTED, UNSEGMENTED]), default=SEGMENTED,
               show_default=True)
 @click.option("--depth", type=click.IntRange(min=1), default=1, show_default=True,
@@ -187,37 +196,22 @@ def ingest_cmd(cli, log, mode, depth, interval, endpoint_id, lenient):
     config = protocol.StateConfig(mode, depth, interval)
     logger = protocol.EndpointLogger(endpoint_id, kp, config)
     stats = ingest.ParseStats()
-    stream = sys.stdin if log == "-" else open(log)
     events = []
     try:
-        for i, ev in enumerate(ingest.parse_jsonl(stream, strict=not lenient, stats=stats)):
+        for i, ev in enumerate(ingest.parse_jsonl(log, strict=not lenient, stats=stats)):
             try:
                 commitment = logger.ingest(ev)
             except ClockRegression as exc:
                 raise click.ClickException(f"event {i + 1}: {exc}")
             events.append(ev)
             if commitment is not None:
-                cli.emit(
-                    {"epoch": commitment.epoch, "root": commitment.root.hex(),
-                     "bytes": len(commitment.to_bytes())},
-                    f"epoch {commitment.epoch}  root {commitment.root.hex()}  "
-                    f"{len(commitment.to_bytes())} bytes",
-                )
+                _emit_commitment(cli, commitment)
     except ingest.ParseError as exc:
         raise click.ClickException(str(exc))
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
     if logger.state.events_since_commit or not logger.commitments:
         if logger.state.graph.event_count == 0:
             raise click.ClickException("no events ingested")
-        commitment = logger.commit()
-        cli.emit(
-            {"epoch": commitment.epoch, "root": commitment.root.hex(),
-             "bytes": len(commitment.to_bytes())},
-            f"epoch {commitment.epoch}  root {commitment.root.hex()}  "
-            f"{len(commitment.to_bytes())} bytes (final)",
-        )
+        _emit_commitment(cli, logger.commit(), " (final)")
     with open(cli.path("log.jsonl"), "w") as fh:
         fh.write(ingest.emit_jsonl(events))
     _save_endpoint(cli, logger)
@@ -236,10 +230,7 @@ def commit(cli):
     logger = _load_endpoint(cli)
     c = logger.commit()
     _save_endpoint(cli, logger)
-    cli.emit(
-        {"epoch": c.epoch, "root": c.root.hex(), "bytes": len(c.to_bytes())},
-        f"epoch {c.epoch}  root {c.root.hex()}  {len(c.to_bytes())} bytes",
-    )
+    _emit_commitment(cli, c)
 
 
 def _parse_query(entity, at, relation, direction) -> CausalityQuery:
@@ -248,7 +239,7 @@ def _parse_query(entity, at, relation, direction) -> CausalityQuery:
 
 @main.command()
 @click.argument("entity")
-@click.option("--at", required=True, type=int, help="Query timestamp t.")
+@click.option("--at", required=True, type=_TIMESTAMP, help="Query timestamp t.")
 @click.option("--relation", type=click.Choice(["le", "ge"]), default="le", show_default=True,
               help="le: nearest version at or before t; ge: at or after.")
 @click.option("--direction", type=click.Choice(["backward", "forward", "both"]),
@@ -304,7 +295,7 @@ def query(cli, entity, at, relation, direction, out):
 @click.argument("bundle_path", type=str)
 @click.option("--vk", default=None, help="Verification key PEM (default: state dir key).")
 @click.option("--entity", default=None)
-@click.option("--at", type=int, default=None)
+@click.option("--at", type=_TIMESTAMP, default=None)
 @click.option("--relation", type=click.Choice(["le", "ge"]), default=None)
 @click.option("--direction", type=click.Choice(["backward", "forward", "both"]), default=None)
 @click.option("--min-epoch", type=int, default=0, show_default=True,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from .provgraph import EventRecord
 
+U64_MAX = 2**64 - 1  # TimestampKey packs a timestamp as a u64
+
 
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
@@ -42,8 +44,8 @@ def _event_from_obj(obj, line_no: int) -> EventRecord:
         raise ParseError(line_no, "entity ids must not contain NUL bytes")
     if not isinstance(action, str):
         raise ParseError(line_no, "action must be a string")
-    if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
-        raise ParseError(line_no, "ts must be a non-negative integer")
+    if not isinstance(ts, int) or isinstance(ts, bool) or not 0 <= ts <= U64_MAX:
+        raise ParseError(line_no, f"ts must be an integer in 0..{U64_MAX}")
     payload = b""
     if "payload" in obj and obj["payload"] is not None:
         try:

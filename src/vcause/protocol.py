@@ -32,7 +32,7 @@ from .provgraph import (
 from .wire import Reader, WireError, bytes_lp, seq, str_lp, u8, u32, u64
 
 _SNAP_MAGIC = b"VCSNAP1"
-_SNAP_VERSION = 4
+_SNAP_VERSION = 5
 
 _MODE_TAGS = {SEGMENTED: 0, UNSEGMENTED: 1}
 _MODE_FROM_TAG = {v: k for k, v in _MODE_TAGS.items()}
@@ -74,7 +74,7 @@ class EndpointState:
         self.acc = Accumulator()
         self.pending_new: dict[NodeRef, None] = {}  # creation order: dense registry ids
         self.pending_dirty: set[NodeRef] = set()
-        self.epoch_ends: list[int] = []  # graph.event_count at each flush
+        self.flushed_events = 0  # graph.event_count at the last flush
 
     def apply_event(self, ev: EventRecord) -> None:
         res = self.graph.record_event(ev)
@@ -85,7 +85,7 @@ class EndpointState:
 
     @property
     def events_since_commit(self) -> int:
-        return self.graph.event_count - (self.epoch_ends[-1] if self.epoch_ends else 0)
+        return self.graph.event_count - self.flushed_events
 
     def flush(self) -> bytes:
         """Sync pending nodes into the accumulator and commit; returns R.
@@ -101,7 +101,7 @@ class EndpointState:
             self.acc.update_node(node.entity_ext, node.key, node.leaf_digest())
         self.pending_new.clear()
         self.pending_dirty.clear()
-        self.epoch_ends.append(self.graph.event_count)
+        self.flushed_events = self.graph.event_count
         return self.acc.commit()
 
     @property
@@ -116,7 +116,7 @@ class EndpointState:
         other.acc = self.acc.fork()
         other.pending_new = dict(self.pending_new)
         other.pending_dirty = set(self.pending_dirty)
-        other.epoch_ends = list(self.epoch_ends)
+        other.flushed_events = self.flushed_events
         return other
 
 
@@ -143,6 +143,7 @@ class EndpointLogger:
             self.keypair.signing_key,
             self.endpoint_id,
             len(self.commitments) + 1,
+            self.state.graph.event_count,
             root,
             self.state.acc.registry_digest(),
             self.state.graph.last_ts,
@@ -152,18 +153,22 @@ class EndpointLogger:
 
 
 def replay_epochs(state: EndpointState, events: list[EventRecord],
-                  commitments: list[Commitment], ends: list[int]) -> None:
+                  commitments: list[Commitment]) -> None:
     """Replay `events` into `state` one epoch at a time. Epoch k covers the
-    first ends[k - 1] events; once they are applied, the state is flushed
-    and its root and registry digest are compared with commitments[k - 1].
-    Cloud.replay and load_state share these rules.
+    first commitments[k - 1].event_count events; once they are applied, the
+    state is flushed and its root and registry digest are compared with
+    commitments[k - 1]. Cloud.replay and load_state share these rules.
 
-    Raises RootMismatch for an end outside done..len(events), an empty
-    first epoch, a clock regression, a root or registry digest that differs
-    from the signed one, or an event past the last commitment.
+    Raises RootMismatch for a commitment whose epoch is not k, an event
+    count outside done..len(events), an empty first epoch, a clock
+    regression, a root or registry digest that differs from the signed
+    one, or an event past the last commitment.
     """
     done = 0
-    for epoch, (expected, end) in enumerate(zip(commitments, ends, strict=True), 1):
+    for epoch, expected in enumerate(commitments, 1):
+        if expected.epoch != epoch:
+            raise RootMismatch(epoch, f"commitment {epoch} carries epoch {expected.epoch}")
+        end = expected.event_count
         lo = max(done, 1)  # epoch 1 must add events: an empty accumulator has no root
         if not lo <= end <= len(events):
             raise RootMismatch(epoch, f"ends at event {end}, outside {lo}..{len(events)}")
@@ -203,15 +208,12 @@ class Cloud:
     ) -> CloudEndpoint:
         """Rebuild an endpoint's state, checking every commitment boundary.
 
-        Epoch k ends after min(k * commit_interval, len(events)) events.
-        Raises RootMismatch as replay_epochs does.
+        Each epoch ends at the event count its commitment signs. Raises
+        RootMismatch as replay_epochs does.
         """
-        events = list(events)
         ep = CloudEndpoint(EndpointState(config), list(commitments))
         self.endpoints[endpoint_id] = ep
-        ends = [min(k * config.commit_interval, len(events))
-                for k in range(1, len(commitments) + 1)]
-        replay_epochs(ep.state, events, ep.commitments, ends)
+        replay_epochs(ep.state, list(events), ep.commitments)
         return ep
 
     def analyze(self, endpoint_id: str, query: causality.CausalityQuery) -> causality.ProofBundle:
@@ -382,8 +384,8 @@ def _read_event(r: Reader) -> EventRecord:
 def save_state(path: str, endpoint_id: str, state: EndpointState,
                commitments: list[Commitment]) -> None:
     """Versioned binary snapshot of one endpoint: its config, its signed
-    commitments with the event count each covers, and its events. Load
-    replays the events; nothing derived is stored."""
+    commitments and its events. Load replays the events; nothing derived
+    is stored."""
     if not state.quiescent:
         raise PendingChanges("flush before snapshotting")
     cfg, exts = state.config, state.graph.entity_exts
@@ -393,8 +395,7 @@ def save_state(path: str, endpoint_id: str, state: EndpointState,
         _SNAP_MAGIC, u8(_SNAP_VERSION),
         u8(_MODE_TAGS[cfg.mode]), u32(cfg.depth), u32(cfg.commit_interval),
         str_lp(endpoint_id),
-        seq(range(len(commitments)),
-            lambda i: commitments[i].to_bytes() + u64(state.epoch_ends[i])),
+        seq(commitments, Commitment.to_bytes),
         seq(events, lambda e: b"".join((
             str_lp(exts[e.src_ref[0]]), str_lp(e.event_type), str_lp(exts[e.dst_ref[0]]),
             u64(e.timestamp), bytes_lp(e.payload),
@@ -408,10 +409,9 @@ def save_state(path: str, endpoint_id: str, state: EndpointState,
 
 def load_state(path: str, vk) -> tuple[str, EndpointState, list[Commitment]]:
     """Inverse of save_state. Every stored commitment must verify under vk
-    and name the snapshot's endpoint, and their epochs must run 1..n. The
-    stored events then replay through replay_epochs at the stored epoch
-    ends, the rules Cloud.replay follows, so the replay binds every stored
-    event. Any fault raises WireError."""
+    and name the snapshot's endpoint. The stored events then replay through
+    replay_epochs, the rules Cloud.replay follows, so the replay binds
+    every stored event. Any fault raises WireError."""
     with open(path, "rb") as fh:
         r = Reader(fh.read())
     if r.take(len(_SNAP_MAGIC)) != _SNAP_MAGIC:
@@ -425,19 +425,16 @@ def load_state(path: str, vk) -> tuple[str, EndpointState, list[Commitment]]:
     if config.commit_interval < 1 or (mode == SEGMENTED and config.depth < 1):
         raise WireError(f"invalid state config {config}")
     endpoint_id = r.str_lp()
-    stored = r.seq(lambda r: (Commitment.read_from(r), r.u64()))  # (commitment, epoch end)
+    commitments = r.seq(Commitment.read_from)
     events = r.seq(_read_event)
     r.finish()
-    commitments = [c for c, _ in stored]
-    for epoch, c in enumerate(commitments, 1):
+    for c in commitments:
         if c.endpoint_id != endpoint_id or not c.verify(vk):
             raise WireError(f"commitment of epoch {c.epoch} is not signed for {endpoint_id!r}")
-        if c.epoch != epoch:
-            raise WireError(f"commitment {epoch} carries epoch {c.epoch}")
 
     state = EndpointState(config)
     try:
-        replay_epochs(state, events, commitments, [end for _, end in stored])
+        replay_epochs(state, events, commitments)
     except RootMismatch as exc:
         raise WireError(f"stored events do not replay to the commitments: {exc}") from exc
     return endpoint_id, state, commitments

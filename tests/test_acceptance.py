@@ -591,9 +591,9 @@ def test_09_commitment_size(world_100k):
             logger.ingest(ev)
         sizes.add(len(logger.commit().to_bytes()))
     assert len(sizes) == 1, sizes
-    # documented layout: tag + len-prefixed endpoint id + epoch + root +
-    # registry digest + timestamp + len-prefixed Ed25519 signature
-    expected = len(b"VCAUSE1") + 4 + len("ep-accept") + 8 + 32 + 32 + 8 + 2 + 64
+    # documented layout: tag + len-prefixed endpoint id + epoch + event count +
+    # root + registry digest + timestamp + len-prefixed Ed25519 signature
+    expected = len(b"VCAUSE1") + 4 + len("ep-accept") + 8 + 8 + 32 + 32 + 8 + 2 + 64
     assert sizes == {expected}, (sizes, expected)
 
 

@@ -279,7 +279,7 @@ class TestVerifyForward:
         b = WireNode(1, TimestampKey(3, 0), False, None, mset_empty())
         a_to_b = WireEdge("dependency", a.ref, b.ref, "w")
         b_to_a = WireEdge("dependency", b.ref, a.ref, "w")
-        commitment = Commitment("ep0", 1, bytes(32), bytes(32), 3, b"")
+        commitment = Commitment("ep0", 1, 2, bytes(32), bytes(32), 3, b"")
 
         def claim(edge, child_pi):
             enc = encode_edge(edge, edge.src_ref, edge.dst_ref) + terminal_marker(False, None)

@@ -106,6 +106,26 @@ class TestIngest:
         assert "x>=1" in res.output
         assert not (state / "state.bin").exists()
 
+    def test_missing_log_is_a_usage_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["-s", str(tmp_path / "s"), "ingest",
+                                   str(tmp_path / "nosuch.jsonl")])
+        assert res.exit_code == 2, res.output
+        assert "nosuch.jsonl" in res.output and "No such file" in res.output
+
+    def test_log_from_stdin(self, runner, tmp_path):
+        res = run(runner, ["-s", str(tmp_path / "s"), "--format", "json", "ingest", "-"],
+                  input='{"src":"a","action":"w","dst":"b","ts":5}\n')
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output.strip().splitlines()[-1])["events"] == 1
+
+    def test_timestamp_past_u64_is_refused_before_ingest(self, runner, tmp_path):
+        log = tmp_path / "big.jsonl"
+        log.write_text('{"src":"a","action":"w","dst":"b","ts":18446744073709551616}\n')
+        res = runner.invoke(main, ["-s", str(tmp_path / "s"), "ingest", str(log)])
+        assert res.exit_code == 1, res.output
+        assert "line 1: ts must be an integer" in res.output
+        assert not (tmp_path / "s" / "state.bin").exists()
+
     def test_lenient_skips(self, runner, tmp_path):
         log = tmp_path / "messy.jsonl"
         log.write_text(
@@ -195,8 +215,20 @@ class TestQueryVerify:
         for want in (4, 5):
             res = run(runner, ["-s", str(state), "--format", "json", "commit"])
             assert json.loads(res.output.strip())["epoch"] == want
-        log = (state / "commitments.jsonl").read_text().splitlines()
-        assert [json.loads(line)["epoch"] for line in log] == [1, 2, 3, 4, 5]
+        lines = (state / "commitments.jsonl").read_text().splitlines()
+        log = [json.loads(line) for line in lines]
+        assert [row["epoch"] for row in log] == [1, 2, 3, 4, 5]
+        assert [row["event_count"] for row in log] == [200, 400, 600, 600, 600]
+
+    @pytest.mark.parametrize("at", ["-1", str(2**64), str(10**29)])
+    @pytest.mark.parametrize("command", ["query", "verify"])
+    def test_at_out_of_range_is_a_usage_error(self, runner, state, tmp_path, command, at):
+        bundle = tmp_path / "bundle.bin"
+        run(runner, ["-s", str(state), "query", "e2", "--at", "5", "--out", str(bundle)])
+        args = ["e2"] if command == "query" else [str(bundle)]
+        res = runner.invoke(main, ["-s", str(state), command, *args, "--at", at])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--at'" in res.output
 
     def test_query_summary_counts_anchors(self, runner, state, tmp_path):
         res = run(runner, ["-s", str(state), "--format", "json", "query", "e2",

@@ -18,10 +18,11 @@ from .test_accumulator import fill
 
 # SHA3-256 of the golden bundle and snapshot below: leaves bind the hashes
 # of both path digests, the anchor section is one global multiproof plus
-# one local multiproof per entity, and the snapshot (version 3) stores no
-# epoch.
-GOLDEN_BUNDLE_SHA3 = "89b1146a5274b32d5cc440af1762bb9757ef5c15820269764d84bd4073682a42"
-GOLDEN_SNAPSHOT_SHA3 = "19cd817d69963e70d353a7fda216432bb067f642ae3d19f291066f10b7803b82"
+# one local multiproof per entity, the commitment signs its epoch's event
+# count, and the snapshot (version 5) stores the config, the commitments
+# and the events.
+GOLDEN_BUNDLE_SHA3 = "1df399bdbfcac4bf4b3cb5475b3c30b3e985bec60f98ee886f02eb6681c0a5fa"
+GOLDEN_SNAPSHOT_SHA3 = "45a012f1b86aea80f3f7f2d82994a47621038f9c575185e8caa7ba563ea47e76"
 
 
 def fixed_keypair() -> KeyPair:

@@ -150,7 +150,7 @@ class TestEncodeEdge:
 
 
 def _commit(kp, root, t):
-    return make_commitment(kp.signing_key, "ep0", 1, root, hashcore.hash_bytes(b"reg"), t)
+    return make_commitment(kp.signing_key, "ep0", 1, 1, root, hashcore.hash_bytes(b"reg"), t)
 
 
 class TestSignatures:

@@ -41,6 +41,7 @@ class TestParseJsonl:
     @pytest.mark.parametrize("bad", [
         '{"src":"","action":"w","dst":"b","ts":1}',
         '{"src":"a","action":"w","dst":"b","ts":-1}',
+        '{"src":"a","action":"w","dst":"b","ts":18446744073709551616}',
         '{"src":"a","action":"w","dst":"b","ts":1.5}',
         '{"src":"a","action":"w","dst":"b"}',
         '{"src":"a","action":"w","dst":"b","ts":true}',
@@ -50,6 +51,10 @@ class TestParseJsonl:
     def test_bad_lines_rejected(self, bad):
         with pytest.raises(ParseError):
             list(parse_jsonl([bad]))
+
+    def test_largest_u64_timestamp_parses(self):
+        line = '{"src":"a","action":"w","dst":"b","ts":18446744073709551615}'
+        assert list(parse_jsonl([line])) == [EventRecord("a", "w", "b", 2**64 - 1)]
 
     def test_lenient_counts(self):
         lines = [

@@ -1,5 +1,6 @@
 """Logger/cloud/admin workflow: commitments, replay, freshness, snapshots."""
 
+import dataclasses
 import random
 
 import pytest
@@ -79,6 +80,15 @@ class TestLogger:
             logger.ingest(e)
         c = logger.commit()
         assert c.verify(logger.keypair.verify_key)
+
+    def test_altered_event_count_fails_its_signature(self):
+        logger = make_logger(interval=10**9)
+        for e in simple_stream(random.Random(4), 20, 4):
+            logger.ingest(e)
+        c = logger.commit()
+        assert c.event_count == 20
+        for count in (19, 21):
+            assert not dataclasses.replace(c, event_count=count).verify(logger.keypair.verify_key)
 
     def test_commitment_size_constant(self):
         sizes = set()
@@ -260,8 +270,30 @@ class TestReplayRules:
         ep = Cloud().replay("ep0", stream, logger.commitments, logger.state.config)
         assert ep.state.acc.committed_root == logger.commitments[-1].root
         _, state, commitments = self._load(tmp_path, logger)
-        assert state.epoch_ends == logger.state.epoch_ends == [50, 100, 120, 120]
+        assert [c.event_count for c in logger.commitments] == [50, 100, 120, 120]
         assert [c.to_bytes() for c in commitments] == [c.to_bytes() for c in logger.commitments]
+
+    def test_commitments_off_the_interval_accepted(self, tmp_path):
+        """Where the logger commits is signed, not derived from the interval:
+        a commit after 30 events, then one at the interval, 50 events on."""
+        stream = simple_stream(random.Random(15), 80, 6)
+        logger = make_logger(interval=self.interval)
+        for e in stream[:30]:
+            logger.ingest(e)
+        logger.commit()
+        committed = [logger.ingest(e) for e in stream[30:]]
+        assert committed[-1] is not None and committed[:-1] == [None] * 49
+        assert [c.event_count for c in logger.commitments] == [30, 80]
+        ep = Cloud().replay("ep0", stream, logger.commitments, logger.state.config)
+        assert ep.state.acc.committed_root == logger.commitments[-1].root
+        _, state, _ = self._load(tmp_path, logger)
+        assert state.acc.committed_root == logger.commitments[-1].root
+
+    def test_truncated_upload_refused_by_its_count(self):
+        stream, logger = self._logged(2 * self.interval)
+        with pytest.raises(RootMismatch, match="ends at event 100, outside 50..99") as exc:
+            Cloud().replay("ep0", stream[:-1], logger.commitments, logger.state.config)
+        assert exc.value.epoch == 2
 
     def test_clock_regression_rejected(self, tmp_path):
         stream, logger = self._logged(2 * self.interval)
@@ -421,9 +453,11 @@ class TestSnapshots:
 
     def test_first_epoch_without_events_is_wire_error(self, tmp_path):
         logger, path = self._saved(tmp_path)
-        logger.state.epoch_ends[0] = 0
-        save_state(str(path), "ep0", logger.state, logger.commitments)
-        with pytest.raises(WireError):
+        first = logger.commitments[0]
+        empty = make_commitment(logger.keypair.signing_key, "ep0", 1, 0, first.root,
+                                first.registry_digest, first.timestamp)
+        save_state(str(path), "ep0", logger.state, [empty] + logger.commitments[1:])
+        with pytest.raises(WireError, match="ends at event 0"):
             load_state(str(path), logger.keypair.verify_key)
 
     @pytest.mark.parametrize("field, offset", [("depth", 0), ("commit_interval", 4)])
@@ -493,21 +527,26 @@ class TestSnapshotEpochs:
         logger = self._logger()
         last = logger.commitments[-1]
         skipped = make_commitment(
-            logger.keypair.signing_key, "ep0", last.epoch + 1, last.root,
+            logger.keypair.signing_key, "ep0", last.epoch + 1, last.event_count, last.root,
             last.registry_digest, last.timestamp,
         )
+        commitments = logger.commitments[:-1] + [skipped]
         path = str(tmp_path / "state.bin")
-        save_state(path, "ep0", logger.state, logger.commitments[:-1] + [skipped])
-        with pytest.raises(WireError, match="epoch"):
+        save_state(path, "ep0", logger.state, commitments)
+        with pytest.raises(WireError, match="carries epoch"):
             load_state(path, logger.keypair.verify_key)
+        events = simple_stream(random.Random(14), 120, 6)  # the stream _logger ingests
+        with pytest.raises(RootMismatch, match="carries epoch"):
+            Cloud().replay("ep0", events, commitments, logger.state.config)
 
     def test_version_2_snapshot_refused(self, tmp_path):
-        """Versions 2 and 3 stored the derived graph; both are refused."""
+        """Versions 1 to 3 stored the derived graph and version 4 an
+        unsigned event count per commitment; all are refused."""
         logger = self._logger()
         path = tmp_path / "state.bin"
         save_state(str(path), "ep0", logger.state, logger.commitments)
         honest = path.read_bytes()
-        for version in (2, 3):
+        for version in (1, 2, 3, 4):
             blob = bytearray(honest)
             blob[len(protocol._SNAP_MAGIC)] = version
             path.write_bytes(bytes(blob))
