@@ -295,15 +295,18 @@ class Accumulator:
     def register_node(self, node) -> None:
         """Insert a node's leaf into its entity's local tree.
 
-        `node` provides entity_ext, entity_id, key (TimestampKey) and
-        leaf_digest(); first sight of an entity creates its registry entry.
+        `node` provides entity_ext, entity_id, ref (entity id, encoded key)
+        and leaf_digest(); first sight of an entity creates its registry
+        entry.
         """
-        internal = self._assign_id(node.entity_ext)
+        internal = self.registry.get(node.entity_ext)
+        if internal is None:
+            internal = self._assign_id(node.entity_ext)
         if node.entity_id != internal:
             raise EntityIdMismatch(
                 f"node carries id {node.entity_id}, registry assigned {internal}"
             )
-        self.locals[internal].insert(LeafRecord(node.key.encoded(), node.leaf_digest()))
+        self.locals[internal].insert(LeafRecord(node.ref[1], node.leaf_digest()))
         self._dirty.add(internal)
         self.sync_ops += 1
 

@@ -289,8 +289,16 @@ class VerifyReport:
 # -- proof generation ---------------------------------------------------------
 
 
-def _wire_node(node, pi: MsetDigest) -> WireNode:
-    return WireNode(node.entity_id, node.key, node.is_terminal, node.terminal_target, pi)
+# Digests are immutable, so every wire node whose digest is empty (stubs,
+# entries, childless versions) shares this one.
+_EMPTY_DIGEST = mset_empty()
+
+
+def _wire_node(node, pi: int) -> WireNode:
+    return WireNode(
+        node.entity_id, node.key, node.is_terminal, node.terminal_target,
+        MsetDigest(pi) if pi else _EMPTY_DIGEST,
+    )
 
 
 def _wire_edge(edge, seg_view: bool) -> WireEdge:
@@ -408,7 +416,7 @@ def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]
             return False  # duplicates are ambiguous; terminals never appear backward
         pool[n.ref] = n
     poi_rec = pool.get(poi.ref)
-    if poi_rec is None or digest_hash(poi_rec.pi) != poi.pi_in_hash:
+    if poi_rec is None or digest_hash(poi_rec.pi.value) != poi.pi_in_hash:
         return False
     sources: dict[NodeRef, list[tuple[bytes, NodeRef]]] = {ref: [] for ref in pool}
     for e in edges:
@@ -441,7 +449,7 @@ def verify_forward(
             pool[n.ref] = n
         edges.extend(seg.edges)
     poi_rec = pool.get(poi.ref)
-    if poi_rec is None or poi_rec.is_terminal or digest_hash(poi_rec.pi) != poi.pi_out_hash:
+    if poi_rec is None or poi_rec.is_terminal or digest_hash(poi_rec.pi.value) != poi.pi_out_hash:
         return False
 
     # every terminal target must be a supplied non-terminal node
@@ -497,7 +505,7 @@ def _verify_anchors(
         leaves = [
             LeafRecord(key, node_leaf_digest(
                 entry.entity_ext, entity_id, TimestampKey.from_encoded(key),
-                pi_in_hash, digest_hash(pool[(entity_id, key)].pi),
+                pi_in_hash, digest_hash(pool[(entity_id, key)].pi.value),
             ))
             for key, pi_in_hash in zip(keys, entry.pi_in_hashes)
         ]

@@ -311,8 +311,9 @@ def verify(cli, bundle_path, vk, entity, at, relation, direction, min_epoch):
         sys.exit(EXIT_MALFORMED)
     vk_path = vk or cli.path("key.pub.pem")
     try:
-        verify_key = load_public_pem(open(vk_path, "rb").read())
-    except Exception as exc:
+        with open(vk_path, "rb") as fh:
+            verify_key = load_public_pem(fh.read())
+    except (OSError, ValueError) as exc:
         click.echo(f"cannot load verification key: {exc}", err=True)
         sys.exit(EXIT_MALFORMED)
     q = bundle.query

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .wire import Reader, WireError, decode, flag, seq, u8, u16, u128
 
@@ -82,10 +83,18 @@ class LeafRecord:
         return cls(r.u128(), r.take(32))
 
 
-class _Node:
-    __slots__ = ("hash", "min_key", "max_key", "height", "count", "left", "right")
+_LEAF_KEY = attrgetter("key")
 
-    def __init__(self, hash_, min_key, max_key, height, count, left=None, right=None):
+
+class _Node:
+    # min_bytes/max_bytes are u128(min_key)/u128(max_key), the interval as
+    # a parent's hash preimage binds it; a parent shares its outer
+    # children's objects, so a merge builds no bound bytes
+    __slots__ = (
+        "hash", "min_key", "max_key", "height", "count", "left", "right", "min_bytes", "max_bytes"
+    )
+
+    def __init__(self, hash_, min_key, max_key, height, count, left, right, min_bytes, max_bytes):
         self.hash = hash_
         self.min_key = min_key
         self.max_key = max_key
@@ -93,11 +102,20 @@ class _Node:
         self.count = count
         self.left = left
         self.right = right
+        self.min_bytes = min_bytes
+        self.max_bytes = max_bytes
+
+
+def _leaf_node(key: int, payload: bytes) -> _Node:
+    counters.leaf += 1
+    kb = key.to_bytes(16, "big")  # u128(key)
+    return _Node(
+        hashlib.sha3_256(_LEAF_TAG + kb + payload).digest(), key, key, 1, 1, None, None, kb, kb
+    )
 
 
 def _leaf_hash(key: int, payload: bytes) -> bytes:
-    counters.leaf += 1
-    return hashlib.sha3_256(_LEAF_TAG + u128(key) + payload).digest()
+    return _leaf_node(key, payload).hash
 
 
 def _internal_hash(
@@ -125,17 +143,22 @@ def _internal_hash(
 
 
 def _merge(left: _Node, right: _Node) -> _Node:
+    """The parent of two subtree roots; its hash preimage is the one
+    _internal_hash builds, from the children's stored bound bytes."""
+    counters.internal += 1
     return _Node(
-        _internal_hash(
-            left.hash, right.hash,
-            left.min_key, left.max_key, right.min_key, right.max_key,
-        ),
+        hashlib.sha3_256(b"".join((
+            _INTERNAL_TAG, left.hash, right.hash,
+            left.min_bytes, left.max_bytes, right.min_bytes, right.max_bytes,
+        ))).digest(),
         left.min_key,
         right.max_key,
         left.height + 1,
         left.count + right.count,
         left,
         right,
+        left.min_bytes,
+        right.max_bytes,
     )
 
 
@@ -363,7 +386,7 @@ class DimTree:
             raise OutOfOrderKey(
                 f"key {leaf.key} below current max {self.leaves[-1].key}"
             )
-        node = _Node(_leaf_hash(leaf.key, leaf.payload), leaf.key, leaf.key, 1, 1)
+        node = _leaf_node(leaf.key, leaf.payload)
         while self._stack and self._stack[-1].height == node.height:
             node = _merge(self._stack.pop(), node)
         self._stack.append(node)
@@ -395,7 +418,7 @@ class DimTree:
             else:
                 node = node.left
         old = self.leaves[leaf_index]
-        fresh = _Node(_leaf_hash(old.key, new_payload), old.key, old.key, 1, 1)
+        fresh = _leaf_node(old.key, new_payload)
         for parent, went_right in reversed(path):
             left = parent.left if went_right else fresh
             right = fresh if went_right else parent.right
@@ -430,7 +453,7 @@ class DimTree:
 
     def find_index(self, key: int) -> int | None:
         """Index of the leaf with exactly this key, if present."""
-        i = bisect_left(self.leaves, key, key=lambda l: l.key)
+        i = bisect_left(self.leaves, key, key=_LEAF_KEY)
         if i < len(self.leaves) and self.leaves[i].key == key:
             return i
         return None

@@ -35,7 +35,7 @@ DIGEST_SIZE = 32
 
 MSET_BITS = 4096
 MSET_BYTES = MSET_BITS // 8
-_MSET_MASK = (1 << MSET_BITS) - 1
+MSET_MASK = (1 << MSET_BITS) - 1
 
 # Domain separation tags. Changing any of these changes every digest.
 _TAG_MSET_ELEM = b"vc:mset-elem\x00"
@@ -71,13 +71,16 @@ class MsetDigest:
         return decode(data, cls.read_from)
 
 
-def digest_hash(d: MsetDigest) -> bytes:
-    """32-byte stand-in for a path digest: accumulator leaves bind it, and
-    POI records and anchors carry it instead of the 512-byte digest."""
-    return hashlib.sha3_256(_TAG_DIGEST + d.to_bytes()).digest()
+def digest_hash(value: int) -> bytes:
+    """32-byte stand-in for a path digest, given as its group value:
+    accumulator leaves bind it, and POI records and anchors carry it
+    instead of the 512-byte digest."""
+    return hashlib.sha3_256(_TAG_DIGEST + value.to_bytes(MSET_BYTES, "big")).digest()
 
 
-def _mset_element(elem: bytes) -> int:
+def mset_element(elem: bytes) -> int:
+    """Group element of one multiset member; digests are sums of these
+    mod 2^4096."""
     return int.from_bytes(
         hashlib.shake_256(_TAG_MSET_ELEM + elem).digest(MSET_BYTES), "big"
     )
@@ -89,19 +92,19 @@ def mset_empty() -> MsetDigest:
 
 
 def mset_add(d: MsetDigest, elem: bytes) -> MsetDigest:
-    return MsetDigest((d.value + _mset_element(elem)) & _MSET_MASK)
+    return MsetDigest((d.value + mset_element(elem)) & MSET_MASK)
 
 
 def mset_sub(d: MsetDigest, elem: bytes) -> MsetDigest:
-    return MsetDigest((d.value - _mset_element(elem)) & _MSET_MASK)
+    return MsetDigest((d.value - mset_element(elem)) & MSET_MASK)
 
 
 def mset_hash_set(elems) -> MsetDigest:
     """Multiset hash of an iterable of byte strings, order-invariant."""
     total = 0
     for e in elems:
-        total += _mset_element(e)
-    return MsetDigest(total & _MSET_MASK)
+        total += mset_element(e)
+    return MsetDigest(total & MSET_MASK)
 
 
 _EDGE_KIND_TAGS = {"temporal": 0, "dependency": 1}

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from . import causality
 from .accumulator import Accumulator, NotCommitted, TimestampKey
 from .commitment import Commitment, make_commitment
-from .hashcore import mset_add
+from .hashcore import MsetDigest, mset_add
 from .provgraph import (
     DEPENDENCY,
     SEGMENTED,
     UNSEGMENTED,
     ClockRegression,
-    Edge,
     EventRecord,
     Graph,
     NodeRef,
@@ -78,10 +77,11 @@ class EndpointState:
 
     def apply_event(self, ev: EventRecord) -> None:
         res = self.graph.record_event(ev)
+        pending_new = self.pending_new
         for node in res.created:
             if not node.is_terminal:  # stubs are bound by their parent's digest
-                self.pending_new[node.ref] = None
-        self.pending_dirty |= res.updated.difference(self.pending_new)
+                pending_new[node.ref] = None
+        self.pending_dirty |= res.updated.difference(pending_new)
 
     @property
     def events_since_commit(self) -> int:
@@ -94,15 +94,18 @@ class EndpointState:
         new nodes register with their final digest, previously committed
         ones get a single update.
         """
+        nodes, acc = self.graph.nodes, self.acc
         for ref in self.pending_new:
-            self.acc.register_node(self.graph.node(ref))
+            acc.register_node(nodes[ref])
         for ref in self.pending_dirty:
-            node = self.graph.node(ref)
-            self.acc.update_node(node.entity_ext, node.key, node.leaf_digest())
+            node = nodes[ref]
+            # a fresh key: node.key would keep one on every synced node
+            key = TimestampKey.from_encoded(ref[1])
+            acc.update_node(node.entity_ext, key, node.leaf_digest())
         self.pending_new.clear()
         self.pending_dirty.clear()
         self.flushed_events = self.graph.event_count
-        return self.acc.commit()
+        return acc.commit()
 
     @property
     def quiescent(self) -> bool:
@@ -209,11 +212,13 @@ class Cloud:
         """Rebuild an endpoint's state, checking every commitment boundary.
 
         Each epoch ends at the event count its commitment signs. Raises
-        RootMismatch as replay_epochs does.
+        RootMismatch as replay_epochs does; the endpoint is registered only
+        once every epoch has replayed, so a rejected upload leaves the
+        registered endpoints as they were.
         """
         ep = CloudEndpoint(EndpointState(config), list(commitments))
-        self.endpoints[endpoint_id] = ep
         replay_epochs(ep.state, list(events), ep.commitments)
+        self.endpoints[endpoint_id] = ep
         return ep
 
     def analyze(self, endpoint_id: str, query: causality.CausalityQuery) -> causality.ProofBundle:
@@ -306,7 +311,7 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
         victim = rng.choice(candidates)
         eid = rng.choice(victim.in_edge_ids)
         edge = graph.edges[eid]
-        victim.in_edge_ids.remove(eid)
+        victim.in_edge_ids = tuple(i for i in victim.in_edge_ids if i != eid)
         graph.nodes[edge.src_ref].out_edge_ids.remove(eid)
         return TamperReceipt(
             f"deleted edge {eid}", victim.entity_ext, victim.key.timestamp
@@ -315,11 +320,9 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
         src, dst = rng.sample(nodes, 2)
         if src.created_seq > dst.created_seq:
             src, dst = dst, src
-        edge = Edge(len(graph.edges), "dependency", src.ref, dst.ref, dst.ref,
-                    "forged", dst.key.timestamp)
-        graph.edges.append(edge)
-        src.out_edge_ids.append(edge.edge_id)
-        dst.in_edge_ids.append(edge.edge_id)
+        forged = EventRecord(src.entity_ext, "forged", dst.entity_ext, dst.key.timestamp)
+        edge = graph._add_edge(DEPENDENCY, src, dst, forged, str_lp("forged") + bytes_lp(b""))
+        dst.in_edge_ids += (edge.edge_id,)
         return TamperReceipt(
             f"added edge {edge.edge_id}", dst.entity_ext, dst.key.timestamp
         )
@@ -327,16 +330,16 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
         candidates = [n for n in nodes if n.in_edge_ids]
         victim = rng.choice(candidates)
         edge = graph.edges[rng.choice(victim.in_edge_ids)]
+        # the digests and the edge's encodings keep their committed values,
+        # as a cloud that edits a stored record would leave them
         edge.event_type = edge.event_type + "?"
-        edge._enc_logical = None
-        edge._enc_seg = None
         return TamperReceipt(
             f"modified edge {edge.edge_id}", victim.entity_ext, victim.key.timestamp
         )
     if kind == "modify-node":
         victim = rng.choice(nodes)
         old_ts = victim.key.timestamp
-        victim.key = TimestampKey(old_ts + 1, victim.key.seq)
+        victim._key = TimestampKey(old_ts + 1, victim.key.seq)  # ref keeps the old key
         return TamperReceipt(f"modified node {victim.entity_ext}", victim.entity_ext, old_ts)
     if kind == "delete-node":
         candidates = [n for n in nodes if not n.out_edge_ids and n.in_edge_ids]
@@ -360,7 +363,7 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
         # the receipt's le(timestamp) query resolves to the last version at
         # that timestamp, so only such a node is sure to be the POI
         victim = rng.choice([n for n in nodes if _last_at_its_timestamp(graph, n)])
-        victim.pi_out = mset_add(victim.pi_out, b"forged")
+        victim.pi_out = mset_add(MsetDigest(victim.pi_out), b"forged").value
         return TamperReceipt(
             f"forged outgoing digest of {victim.entity_ext}",
             victim.entity_ext,

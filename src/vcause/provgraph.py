@@ -8,6 +8,13 @@ Every node carries two multiset digests over its path structure:
 - an outgoing path digest, maintained incrementally with homomorphic
   add/subtract as new events extend the node's outgoing paths.
 
+The graph holds both digests as plain ints, the group values of
+`hashcore`'s multiset hash; `MsetDigest` exists only on the wire. Each node
+keeps its 20-byte NodeRef encoding and each edge its segment-view
+encoding, built once when the node or edge is created (and again when
+re-rooting points the edge at a stub); an edge's logical encoding is read
+back out of its segment view.
+
 In segmented mode the graph is partitioned into dependency trees: every
 temporal edge is detached onto a digest-empty terminal stub that points at
 its logical destination, and dependency edges that would push a tree past
@@ -22,23 +29,17 @@ test and benchmark mode.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .accumulator import TimestampKey
-from .hashcore import (
-    MsetDigest,
-    digest_hash,
-    encode_edge,
-    hash_bytes,
-    mset_add,
-    mset_empty,
-    mset_sub,
-)
-from .wire import Reader, flag, node_ref, optional, str_lp
+from .accumulator import MAX_SEQ, TimestampKey
+from .hashcore import MSET_BYTES, MSET_MASK, digest_hash, edge_kind_bytes, mset_element
+from .wire import Reader, bytes_lp, flag, node_ref, optional, str_lp
 
-_NODE_ID_PACK = struct.Struct(">QQI")
+_NODE_ID_PACK = struct.Struct(">QQI")  # the NodeRef layout of wire.node_ref
 
 _NODE_TAG = b"vc:node\x00"
 _NLEAF_TAG = b"vc:node-leaf\x00"
@@ -48,6 +49,8 @@ UNSEGMENTED = "unsegmented"
 
 TEMPORAL = "temporal"
 DEPENDENCY = "dependency"
+
+_KIND_BYTES = {TEMPORAL: edge_kind_bytes(TEMPORAL), DEPENDENCY: edge_kind_bytes(DEPENDENCY)}
 
 # Terminal stubs take entity ids from their own space, the top bit of the
 # u64 id: stub N is STUB_ID_BIT | N. Real entity ids stay dense (0..N-1),
@@ -63,6 +66,15 @@ def terminal_marker(is_terminal: bool, target: NodeRef | None) -> bytes:
 
 
 _PLAIN_MARKER = terminal_marker(False, None)
+_STUB_MARKER = flag(True)  # followed by the stub's target NodeRef
+_EMPTY_DIGEST = bytes(MSET_BYTES)  # the empty digest's bytes: a child just attached
+_REAL_ID_SUFFIX = flag(False) + optional(None)  # node_id_bytes tail of a non-terminal node
+# The edge ids of a stub: no logical edge starts or ends at one, so every
+# stub shares this empty tuple instead of holding an empty list.
+_NO_EDGES: tuple[int, ...] = ()
+
+_BY_REF = attrgetter("ref")  # component orders
+_BY_EDGE_ID = attrgetter("edge_id")
 
 
 def node_id_bytes(
@@ -78,6 +90,13 @@ def read_node_id(r: Reader) -> tuple[int, TimestampKey, bool, NodeRef | None]:
     return r.u64(), TimestampKey.read_from(r), r.flag(), r.optional(Reader.node_ref)
 
 
+def _leaf_hash(entity_ext: str, ref_bytes: bytes, pi_in_hash: bytes, pi_out_hash: bytes) -> bytes:
+    return hashlib.sha3_256(b"".join((
+        _NLEAF_TAG, _NODE_TAG, str_lp(entity_ext), ref_bytes, _REAL_ID_SUFFIX,
+        pi_in_hash, pi_out_hash,
+    ))).digest()
+
+
 def node_leaf_digest(
     entity_ext: str,
     entity_id: int,
@@ -85,16 +104,11 @@ def node_leaf_digest(
     pi_in_hash: bytes,
     pi_out_hash: bytes,
 ) -> bytes:
-    """Accumulator leaf payload: binds identity and the hashes of both path
+    """Accumulator leaf payload: binds the external id, the node identity
+    (node_id_bytes of a non-terminal node) and the hashes of both path
     digests. Only non-terminal nodes have leaves."""
-    return hash_bytes(b"".join((
-        _NLEAF_TAG,
-        _NODE_TAG,
-        str_lp(entity_ext),
-        node_id_bytes(entity_id, key, False, None),
-        pi_in_hash,
-        pi_out_hash,
-    )))
+    ref_bytes = _NODE_ID_PACK.pack(entity_id, key.timestamp, key.seq)
+    return _leaf_hash(entity_ext, ref_bytes, pi_in_hash, pi_out_hash)
 
 
 class ClockRegression(ValueError):
@@ -120,22 +134,29 @@ class EventRecord:
 class VersionNode:
     entity_id: int
     entity_ext: str
-    key: TimestampKey
-    pi_in: MsetDigest
-    pi_out: MsetDigest
+    ref: NodeRef  # (entity_id, encoded key); keys never change
+    ref_bytes: bytes  # wire.node_ref(ref)
+    pi_in: int = 0
+    pi_out: int = 0
     depth: int = 0  # dependency depth in the node's tree; real nodes only
-    in_edge_ids: list[int] = field(default_factory=list)
+    # logical edge ids: in-edges are fixed when the node is created, so
+    # they are a tuple; a stub has no logical edges at all (_NO_EDGES)
+    in_edge_ids: tuple[int, ...] = ()
     out_edge_ids: list[int] = field(default_factory=list)
     is_terminal: bool = False
     terminal_target: NodeRef | None = None
     created_seq: int = 0
     seg_parent_edge: int | None = None  # seg-view in-edge, for O(1) up-walks
-    ref: NodeRef = None  # cached (entity_id, encoded key); keys never change
     _pi_in_hash: bytes | None = None
+    _key: TimestampKey | None = None
 
-    def __post_init__(self):
-        if self.ref is None:
-            self.ref = (self.entity_id, self.key.encoded())
+    @property
+    def key(self) -> TimestampKey:
+        """The version's (timestamp, seq), built from ref on first read:
+        only queries, and syncs of already committed nodes, read it."""
+        if self._key is None:
+            self._key = TimestampKey.from_encoded(self.ref[1])
+        return self._key
 
     @property
     def pi_in_hash(self) -> bytes:
@@ -146,14 +167,19 @@ class VersionNode:
         return self._pi_in_hash
 
     def leaf_digest(self) -> bytes:
-        return node_leaf_digest(
-            self.entity_ext, self.entity_id, self.key, self.pi_in_hash,
-            digest_hash(self.pi_out),
+        return _leaf_hash(
+            self.entity_ext, self.ref_bytes, self.pi_in_hash, digest_hash(self.pi_out)
         )
 
 
 @dataclass(slots=True)
 class Edge:
+    """An edge with its segment-view encoding `enc_seg`: hashcore.encode_edge
+    over (src_ref, seg_dst_ref) followed by the segment destination's
+    terminal marker. The marker makes outgoing digests bind stub metadata;
+    without it a prover could flip a stub into a fake exit node unnoticed.
+    The logical encoding is read back out of the segment view."""
+
     edge_id: int
     kind: str  # TEMPORAL or DEPENDENCY
     src_ref: NodeRef
@@ -161,9 +187,17 @@ class Edge:
     seg_dst_ref: NodeRef  # segment-view destination (terminal once detached)
     event_type: str
     timestamp: int
-    payload: bytes = b""
-    _enc_logical: bytes | None = None
-    _enc_seg: bytes | None = None
+    payload: bytes
+    enc_seg: bytes
+
+    @property
+    def enc_logical(self) -> bytes:
+        """hashcore.encode_edge over (src_ref, dst_ref)."""
+        seg = self.enc_seg
+        if self.seg_dst_ref == self.dst_ref:
+            return seg[:-1]  # drop the plain marker
+        # a stub's marker names its target, the logical destination
+        return seg[:20] + seg[-20:] + seg[40:-21]
 
 
 @dataclass(slots=True)
@@ -180,6 +214,15 @@ class Segment:
     anchor_ref: NodeRef
     nodes: list[VersionNode]
     edges: list[Edge]
+
+
+def _retarget(edge: Edge, stub: VersionNode) -> None:
+    """Point the edge's segment view at a stub whose target is the edge's
+    logical destination: the stub's ref replaces the destination, and the
+    terminal marker names the target."""
+    enc = edge.enc_seg[:-1]  # an edge is retargeted once, from its logical destination
+    edge.seg_dst_ref = stub.ref
+    edge.enc_seg = enc[:20] + stub.ref_bytes + enc[40:] + _STUB_MARKER + enc[20:40]
 
 
 class Graph:
@@ -217,18 +260,19 @@ class Graph:
             m = new_node(VersionNode)
             m.entity_id = n.entity_id
             m.entity_ext = n.entity_ext
-            m.key = n.key
+            m.ref = n.ref
+            m.ref_bytes = n.ref_bytes
             m.pi_in = n.pi_in
             m._pi_in_hash = n._pi_in_hash
+            m._key = n._key
             m.pi_out = n.pi_out
             m.depth = n.depth
-            m.in_edge_ids = list(n.in_edge_ids)
-            m.out_edge_ids = list(n.out_edge_ids)
+            m.in_edge_ids = n.in_edge_ids
+            m.out_edge_ids = n.out_edge_ids[:]  # copies a list, shares a stub's _NO_EDGES
             m.is_terminal = n.is_terminal
             m.terminal_target = n.terminal_target
             m.created_seq = n.created_seq
             m.seg_parent_edge = n.seg_parent_edge
-            m.ref = n.ref
             nodes[ref] = m
         other.nodes = nodes
         new_edge = Edge.__new__
@@ -243,8 +287,7 @@ class Graph:
             f.event_type = e.event_type
             f.timestamp = e.timestamp
             f.payload = e.payload
-            f._enc_logical = e._enc_logical
-            f._enc_seg = e._enc_seg
+            f.enc_seg = e.enc_seg
             edges.append(f)
         other.edges = edges
         other.entity_ids = dict(self.entity_ids)
@@ -266,55 +309,32 @@ class Graph:
         except KeyError:
             raise UnknownNode(ref) from None
 
-    def encode_edge_logical(self, edge: Edge) -> bytes:
-        if edge._enc_logical is None:
-            edge._enc_logical = encode_edge(edge, edge.src_ref, edge.dst_ref)
-        return edge._enc_logical
-
-    def encode_edge_seg(self, edge: Edge) -> bytes:
-        # The segment view appends the destination's terminal marker (and
-        # target ref) so outgoing digests bind stub metadata; otherwise a
-        # prover could flip a stub into a fake exit node unnoticed.
-        if edge._enc_seg is None:
-            dst = self.nodes[edge.seg_dst_ref]
-            edge._enc_seg = encode_edge(
-                edge, edge.src_ref, edge.seg_dst_ref
-            ) + terminal_marker(dst.is_terminal, dst.terminal_target)
-        return edge._enc_seg
-
     # -- construction ----------------------------------------------------------
 
-    def _entity_id(self, ext: str) -> int:
-        entity_id = self.entity_ids.get(ext)
-        if entity_id is None:
-            entity_id = len(self.entity_exts)
-            self.entity_ids[ext] = entity_id
-            self.entity_exts.append(ext)
+    def _new_entity(self, ext: str) -> int:
+        entity_id = len(self.entity_exts)
+        self.entity_ids[ext] = entity_id
+        self.entity_exts.append(ext)
         return entity_id
 
-    def _next_key(self, entity_id: int, ts: int) -> TimestampKey:
-        ref = self.latest.get(entity_id)
-        if ref is not None:
-            last = TimestampKey.from_encoded(ref[1])
-            if last.timestamp == ts:
-                return TimestampKey(ts, last.seq + 1)
-        return TimestampKey(ts, 0)
-
-    def _add_node(self, node: VersionNode) -> VersionNode:
-        node.created_seq = self._created_seq
+    def _add_node(
+        self, entity_id: int, ext: str, ts: int, seq: int, out_edge_ids, target: NodeRef | None
+    ) -> VersionNode:
+        ref = (entity_id, (ts << 32) | seq)
+        node = VersionNode(
+            entity_id, ext, ref, _NODE_ID_PACK.pack(entity_id, ts, seq), 0, 0, 0, _NO_EDGES,
+            out_edge_ids, target is not None, target, self._created_seq,
+        )
         self._created_seq += 1
-        self.nodes[node.ref] = node
+        self.nodes[ref] = node
         return node
 
-    def _create_entry(self, entity_id: int, ts: int) -> VersionNode:
-        node = VersionNode(
-            entity_id,
-            self.entity_exts[entity_id],
-            self._next_key(entity_id, ts),
-            mset_empty(),
-            mset_empty(),
-        )
-        self._add_node(node)
+    def _create_version(self, entity_id: int, ts: int) -> VersionNode:
+        """The entity's next real version: versions at one timestamp take
+        consecutive seqs."""
+        last = self.latest.get(entity_id)
+        seq = (last[1] & MAX_SEQ) + 1 if last is not None and last[1] >> 32 == ts else 0
+        node = self._add_node(entity_id, self.entity_exts[entity_id], ts, seq, [], None)
         self.latest[entity_id] = node.ref
         return node
 
@@ -322,113 +342,109 @@ class Graph:
         """A graph-only stub: no entity entry, no version, no accumulator leaf."""
         entity_id = STUB_ID_BIT | self.next_terminal
         self.next_terminal += 1
-        node = VersionNode(
-            entity_id,
-            "",
-            TimestampKey(ts, 0),
-            mset_empty(),
-            mset_empty(),
-            is_terminal=True,
-            terminal_target=target.ref,
-        )
-        return self._add_node(node)
+        return self._add_node(entity_id, "", ts, 0, _NO_EDGES, target.ref)
 
-    def _add_edge(self, kind: str, src: VersionNode, dst: VersionNode, ev: EventRecord) -> Edge:
+    def _add_edge(
+        self, kind: str, src: VersionNode, dst: VersionNode, ev: EventRecord, body: bytes
+    ) -> Edge:
+        """`body` is the event's str_lp(action) || bytes_lp(payload), the
+        tail every edge encoding of the event shares. The caller sets the
+        destination's in_edge_ids."""
+        enc = src.ref_bytes + dst.ref_bytes + _KIND_BYTES[kind] + body
         edge = Edge(
-            len(self.edges), kind, src.ref, dst.ref, dst.ref, ev.action, ev.ts, ev.payload
+            len(self.edges), kind, src.ref, dst.ref, dst.ref, ev.action, ev.ts, ev.payload,
+            enc + _PLAIN_MARKER,
         )
         self.edges.append(edge)
         src.out_edge_ids.append(edge.edge_id)
-        dst.in_edge_ids.append(edge.edge_id)
         return edge
 
     def record_event(self, ev: EventRecord) -> RecordResult:
         """Apply one event: new dst version, edges, digest maintenance."""
-        if ev.ts < self.last_ts:
-            raise ClockRegression(f"timestamp {ev.ts} below high-water mark {self.last_ts}")
-        self.last_ts = ev.ts
+        ts = ev.ts
+        if ts < self.last_ts:
+            raise ClockRegression(f"timestamp {ts} below high-water mark {self.last_ts}")
+        self.last_ts = ts
         self.event_count += 1
         self.last_event_attachments = []
         created: list[VersionNode] = []
         updated: set[NodeRef] = set()
+        nodes, latest = self.nodes, self.latest
 
         # Entity ids are assigned at first node creation, in creation order,
         # so the accumulator's dense registry matches when non-terminal
         # nodes are registered in `created` order.
+        src_id = self.entity_ids.get(ev.src)
+        if src_id is None:
+            src_id = self._new_entity(ev.src)
+        entry = None
+        if src_id not in latest:
+            entry = self._create_version(src_id, ts)
+            created.append(entry)
+        parent = nodes[latest[src_id]]
         if ev.src == ev.dst:
-            dst_id = self._entity_id(ev.dst)
-            if dst_id not in self.latest:
-                created.append(self._create_entry(dst_id, ev.ts))
-            parent = self.nodes[self.latest[dst_id]]
+            dst_id = src_id
             prev = None  # the parent doubles as the previous version; no temporal edge
         else:
-            src_id = self._entity_id(ev.src)
-            if src_id not in self.latest:
-                created.append(self._create_entry(src_id, ev.ts))
-            parent = self.nodes[self.latest[src_id]]
-            dst_id = self._entity_id(ev.dst)
-            prev_ref = self.latest.get(dst_id)
-            prev = self.nodes[prev_ref] if prev_ref is not None else None
+            dst_id = self.entity_ids.get(ev.dst)
+            if dst_id is None:
+                dst_id = self._new_entity(ev.dst)
+            prev_ref = latest.get(dst_id)
+            prev = nodes[prev_ref] if prev_ref is not None else None
 
-        node = VersionNode(
-            dst_id,
-            ev.dst,
-            self._next_key(dst_id, ev.ts),
-            mset_empty(),  # placeholder until edges exist
-            mset_empty(),
-        )
-        self._add_node(node)
+        node = self._create_version(dst_id, ts)
         created.append(node)
-        self.latest[dst_id] = node.ref
 
-        dep_edge = self._add_edge(DEPENDENCY, parent, node, ev)
-        temporal_edge = self._add_edge(TEMPORAL, prev, node, ev) if prev is not None else None
-        node.pi_in = self.compute_pi_in(node)
+        body = str_lp(ev.action) + bytes_lp(ev.payload)
+        dep_edge = self._add_edge(DEPENDENCY, parent, node, ev, body)
+        # incoming path digest: one element per in-edge over (logical
+        # encoding, source digest)
+        pi_in = mset_element(dep_edge.enc_logical + parent.pi_in.to_bytes(MSET_BYTES, "big"))
+        if prev is None:
+            temporal_edge = None
+            node.in_edge_ids = (dep_edge.edge_id,)
+        else:
+            temporal_edge = self._add_edge(TEMPORAL, prev, node, ev, body)
+            node.in_edge_ids = (dep_edge.edge_id, temporal_edge.edge_id)
+            pi_in += mset_element(
+                temporal_edge.enc_logical + prev.pi_in.to_bytes(MSET_BYTES, "big")
+            )
+        node.pi_in = pi_in & MSET_MASK
 
         if self.mode == SEGMENTED:
-            self._apply_segmentation(node, dep_edge, temporal_edge, ev, created, updated)
+            self._apply_segmentation(node, parent, dep_edge, temporal_edge, ts, created, updated)
         else:
             self._update_unsegmented(node, updated)
 
-        updated.difference_update(n.ref for n in created)
+        if entry is not None:  # a fresh entry is the one created node a bump can reach
+            updated.discard(entry.ref)
         return RecordResult(node, created, updated)
 
     # -- digests ---------------------------------------------------------------
 
-    def compute_pi_in(self, node: VersionNode) -> MsetDigest:
-        """Incoming path digest: multiset over (edge encoding, source digest)."""
-        digest = mset_empty()
-        for eid in node.in_edge_ids:
-            edge = self.edges[eid]
-            src = self.nodes[edge.src_ref]
-            digest = mset_add(digest, self.encode_edge_logical(edge) + src.pi_in.to_bytes())
-        return digest
-
-    def _bump_chain(
-        self,
-        start: VersionNode,
-        new_pi: MsetDigest,
-        updated: set[NodeRef],
-    ) -> None:
-        """Rewrite start's outgoing digest and propagate up its tree chain.
+    def _bump_chain(self, start: VersionNode, delta: int, updated: set[NodeRef]) -> None:
+        """Add delta to start's outgoing digest and propagate the change up
+        its tree chain.
 
         One call is one attachment batch; the touched-node count feeds the
         per-attachment instrumentation.
         """
+        nodes, edges = self.nodes, self.edges
         child = start
         child_old = child.pi_out
-        child.pi_out = new_pi
+        child.pi_out = (child_old + delta) & MSET_MASK
         updated.add(child.ref)
         count = 1
         while child.seg_parent_edge is not None:
-            edge = self.edges[child.seg_parent_edge]
-            parent = self.nodes[edge.src_ref]
-            enc = self.encode_edge_seg(edge)
+            edge = edges[child.seg_parent_edge]
+            parent = nodes[edge.src_ref]
+            enc = edge.enc_seg
             parent_old = parent.pi_out
-            parent.pi_out = mset_add(
-                mset_sub(parent_old, enc + child_old.to_bytes()),
-                enc + child.pi_out.to_bytes(),
-            )
+            parent.pi_out = (
+                parent_old
+                - mset_element(enc + child_old.to_bytes(MSET_BYTES, "big"))
+                + mset_element(enc + child.pi_out.to_bytes(MSET_BYTES, "big"))
+            ) & MSET_MASK
             updated.add(parent.ref)
             count += 1
             child, child_old = parent, parent_old
@@ -438,20 +454,19 @@ class Graph:
     def _attach_seg_child(self, edge: Edge, child: VersionNode, updated: set[NodeRef]) -> None:
         """Eq-5 style attach: child (digest-empty) hangs off edge.src."""
         child.seg_parent_edge = edge.edge_id
-        parent = self.nodes[edge.src_ref]
-        elem = self.encode_edge_seg(edge) + child.pi_out.to_bytes()
-        self._bump_chain(parent, mset_add(parent.pi_out, elem), updated)
+        elem = mset_element(edge.enc_seg + _EMPTY_DIGEST)
+        self._bump_chain(self.nodes[edge.src_ref], elem, updated)
 
     def _apply_segmentation(
         self,
         node: VersionNode,
+        parent: VersionNode,
         dep_edge: Edge,
         temporal_edge: Edge | None,
-        ev: EventRecord,
+        ts: int,
         created: list[VersionNode],
         updated: set[NodeRef],
     ) -> None:
-        parent = self.nodes[dep_edge.src_ref]
         if parent.depth + 1 <= self.depth:
             # Case 1: the edge stays in the parent's tree
             node.depth = parent.depth + 1
@@ -461,7 +476,7 @@ class Graph:
             # old position. Its subtree moves with it: a parent at depth L
             # has only terminal children (a dependency child would already
             # have exceeded the bound), and they hang off its out-edges.
-            stub = self._create_terminal(parent, ev.ts)
+            stub = self._create_terminal(parent, ts)
             created.append(stub)
             in_edge = (
                 self.edges[parent.seg_parent_edge]
@@ -475,29 +490,29 @@ class Graph:
                     child = self.nodes[self.edges[eid].seg_dst_ref]
                     assert child.is_terminal, "non-terminal child below a depth-L node"
             if in_edge is not None:
-                old_enc = self.encode_edge_seg(in_edge)
-                in_edge.seg_dst_ref = stub.ref
-                in_edge._enc_seg = None
+                old_enc = in_edge.enc_seg
+                _retarget(in_edge, stub)
                 stub.seg_parent_edge = in_edge.edge_id
                 grand = self.nodes[in_edge.src_ref]
-                swapped = mset_add(
-                    mset_sub(grand.pi_out, old_enc + parent.pi_out.to_bytes()),
-                    self.encode_edge_seg(in_edge) + stub.pi_out.to_bytes(),
+                swap = mset_element(in_edge.enc_seg + _EMPTY_DIGEST) - mset_element(
+                    old_enc + parent.pi_out.to_bytes(MSET_BYTES, "big")
                 )
-                self._bump_chain(grand, swapped, updated)
+                self._bump_chain(grand, swap, updated)
             node.depth = 1
             self._attach_seg_child(dep_edge, node, updated)
 
         if temporal_edge is not None:
-            stub = self._create_terminal(node, ev.ts)
+            stub = self._create_terminal(node, ts)
             created.append(stub)
-            temporal_edge.seg_dst_ref = stub.ref
-            temporal_edge._enc_seg = None
+            _retarget(temporal_edge, stub)
             self._attach_seg_child(temporal_edge, stub, updated)
 
     def _update_unsegmented(self, node: VersionNode, updated: set[NodeRef]) -> None:
-        """Eq-5/6 batch over the full logical graph, one pass per ancestor."""
-        stash: dict[NodeRef, MsetDigest] = {}
+        """Eq-5/6 batch over the full logical graph, one pass per ancestor.
+        Destinations are never terminals here, so every edge's segment-view
+        encoding is its logical one plus the constant plain marker, which
+        keeps outgoing-digest elements uniform across modes."""
+        stash: dict[NodeRef, int] = {}
         heap: list[tuple[int, NodeRef]] = []
 
         def touch(n: VersionNode) -> None:
@@ -509,10 +524,8 @@ class Graph:
             edge = self.edges[eid]
             pred = self.nodes[edge.src_ref]
             touch(pred)
-            # logical destinations are never terminals; the constant marker
-            # keeps outgoing-digest elements uniform across modes
-            elem = self.encode_edge_logical(edge) + _PLAIN_MARKER + node.pi_out.to_bytes()
-            pred.pi_out = mset_add(pred.pi_out, elem)
+            elem = mset_element(edge.enc_seg + node.pi_out.to_bytes(MSET_BYTES, "big"))
+            pred.pi_out = (pred.pi_out + elem) & MSET_MASK
 
         done: set[NodeRef] = set()
         while heap:
@@ -521,16 +534,16 @@ class Graph:
                 continue
             done.add(ref)
             child = self.nodes[ref]
-            old_bytes = stash[ref].to_bytes()
-            new_bytes = child.pi_out.to_bytes()
+            old_bytes = stash[ref].to_bytes(MSET_BYTES, "big")
+            new_bytes = child.pi_out.to_bytes(MSET_BYTES, "big")
             for eid in child.in_edge_ids:
                 edge = self.edges[eid]
                 pred = self.nodes[edge.src_ref]
                 touch(pred)
-                enc = self.encode_edge_logical(edge) + _PLAIN_MARKER
-                pred.pi_out = mset_add(
-                    mset_sub(pred.pi_out, enc + old_bytes), enc + new_bytes
-                )
+                enc = edge.enc_seg
+                pred.pi_out = (
+                    pred.pi_out - mset_element(enc + old_bytes) + mset_element(enc + new_bytes)
+                ) & MSET_MASK
         updated.update(done)
         self.last_event_attachments.append(len(done))
         self.total_digest_updates += len(done)
@@ -554,7 +567,7 @@ class Graph:
                 if src_ref not in seen:
                     seen.add(src_ref)
                     stack.append(self.nodes[src_ref])
-        nodes.sort(key=lambda n: n.ref)
+        nodes.sort(key=_BY_REF)
         return nodes, [self.edges[i] for i in sorted(edge_ids)]
 
     def collect_forward(self, ref: NodeRef) -> list[Segment]:
@@ -565,6 +578,7 @@ class Graph:
         processed in sorted order for a deterministic layout.
         """
         self.node(ref)
+        nodes, edges = self.nodes, self.edges
         visited: set[NodeRef] = set()
         segments: list[Segment] = []
         queue: list[NodeRef] = [ref]
@@ -578,20 +592,20 @@ class Graph:
             stack = [anchor_ref]
             visited.add(anchor_ref)
             while stack:
-                cur = self.nodes[stack.pop()]
+                cur = nodes[stack.pop()]
                 seg_nodes.append(cur)
                 if cur.is_terminal:
                     targets.add(cur.terminal_target)
                     continue
                 for eid in cur.out_edge_ids:
-                    edge = self.edges[eid]
+                    edge = edges[eid]
                     seg_edges.append(edge)
                     nxt = edge.seg_dst_ref
                     if nxt not in visited:
                         visited.add(nxt)
                         stack.append(nxt)
-            seg_nodes.sort(key=lambda n: n.ref)
-            seg_edges.sort(key=lambda e: e.edge_id)
+            seg_nodes.sort(key=_BY_REF)
+            seg_edges.sort(key=_BY_EDGE_ID)
             segments.append(Segment(anchor_ref, seg_nodes, seg_edges))
             queue.extend(sorted(t for t in targets if t not in visited))
         return segments

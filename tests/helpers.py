@@ -136,8 +136,9 @@ def tree_root(graph, node):
     return node.ref
 
 
-def recompute_pi_in(graph, ref) -> "hashcore.MsetDigest":
-    """From-scratch Eq. 3 recomputation over full incoming paths."""
+def recompute_pi_in(graph, ref) -> int:
+    """From-scratch Eq. 3 recomputation over full incoming paths; the
+    digest's group value, as the graph holds it."""
     memo = {}
     order = []
     stack = [(ref, False)]
@@ -162,11 +163,11 @@ def recompute_pi_in(graph, ref) -> "hashcore.MsetDigest":
             enc = hashcore.encode_edge(edge, src.ref, node.ref)
             elems.append(enc + memo[edge.src_ref].to_bytes())
         memo[cur] = hashcore.mset_hash_set(elems)
-    return memo[ref]
+    return memo[ref].value
 
 
 def recompute_pi_out(graph) -> dict:
-    """From-scratch Eq. 4 recomputation for every node.
+    """From-scratch Eq. 4 recomputation for every node, as group values.
 
     Uses the segment view when the graph is segmented (terminals are
     digest-empty leaves) and the logical view otherwise.
@@ -197,7 +198,7 @@ def recompute_pi_out(graph) -> dict:
             stack.append((cur, True))
             for eid in node.out_edge_ids:
                 stack.append((graph.edges[eid].seg_dst_ref, False))
-    return memo
+    return {ref: d.value for ref, d in memo.items()}
 
 
 def build_pipeline(stream, mode="segmented", depth=1, endpoint="ep0", interval=None):

@@ -510,6 +510,7 @@ class _AccNode:
         self.entity_ext = ext
         self.entity_id = internal
         self.key = key
+        self.ref = (internal, key.encoded())
 
     def leaf_digest(self):
         return hash_bytes(b"acc7" + self.entity_ext.encode() + self.key.to_bytes())

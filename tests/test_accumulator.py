@@ -30,6 +30,7 @@ class StubNode:
         self.entity_ext = entity_ext
         self.entity_id = entity_id
         self.key = key
+        self.ref = (entity_id, key.encoded())
         self._blob = blob
 
     def leaf_digest(self):

@@ -182,7 +182,7 @@ class TestVerifyBackward:
     def test_cycle_components_rejected(self):
         # adversarial component list encoding a cycle must not hang or pass
         poi = causality.PoiRecord(
-            0, TimestampKey(2, 0), digest_hash(MsetDigest(1)), digest_hash(MsetDigest(0))
+            0, TimestampKey(2, 0), digest_hash(1), digest_hash(0)
         )
         a = WireNode(0, TimestampKey(2, 0), False, None, MsetDigest(1))
         b = WireNode(1, TimestampKey(1, 0), False, None, MsetDigest(1))
@@ -286,7 +286,7 @@ class TestVerifyForward:
             return mset_hash_set([enc + child_pi.to_bytes()])
 
         def verify(edges):
-            poi = causality.PoiRecord(0, a.key, digest_hash(MsetDigest(0)), digest_hash(a.pi))
+            poi = causality.PoiRecord(0, a.key, digest_hash(0), digest_hash(a.pi.value))
             return verify_forward(poi, [WireSegment(a.ref, [a, b], edges)], None, [], commitment)
 
         a.pi = claim(a_to_b, b.pi)

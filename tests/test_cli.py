@@ -1,6 +1,9 @@
 """CLI subcommands end to end against temporary state directories."""
 
+import gc
 import json
+import sys
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +166,21 @@ class TestQueryVerify:
         assert vres.exit_code == 0, vres.output
         report = json.loads(vres.output.strip())
         assert report["accepted"] is True
+
+    def test_verify_closes_the_key_file(self, runner, state, tmp_path, monkeypatch):
+        """With ResourceWarning raised as an error, an unclosed key file
+        raises it in the file's finalizer, where it reaches the
+        unraisable-exception hook."""
+        bundle = tmp_path / "bundle.bin"
+        run(runner, ["-s", str(state), "query", "e2", "--at", "999999", "--out", str(bundle)])
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            vres = runner.invoke(main, ["-s", str(state), "verify", str(bundle)])
+            gc.collect()
+        assert vres.exit_code == 0, vres.output
+        assert [str(u.exc_value) for u in unraisable] == []
 
     def test_query_absent_entity_provably_empty(self, runner, state, tmp_path):
         bundle = tmp_path / "empty.bin"

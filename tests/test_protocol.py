@@ -10,7 +10,7 @@ from vcause.accumulator import Relation
 from vcause.causality import BOTH, CausalityQuery, analyze
 from vcause.commitment import Commitment, make_commitment
 from vcause.hashcore import KeyPair
-from vcause import protocol, wire
+from vcause import dimtree, protocol, wire
 from vcause.protocol import (
     Admin,
     Cloud,
@@ -295,6 +295,20 @@ class TestReplayRules:
             Cloud().replay("ep0", stream[:-1], logger.commitments, logger.state.config)
         assert exc.value.epoch == 2
 
+    def test_rejected_upload_leaves_the_endpoints_as_they_were(self):
+        """An upload that fails its replay registers nothing and replaces
+        nothing: the cloud serves no half-built state."""
+        stream, logger = self._logged(2 * self.interval)
+        cloud = Cloud()
+        good = cloud.replay("ep0", stream, logger.commitments, logger.state.config)
+        for endpoint in ("ep0", "ep1"):
+            with pytest.raises(RootMismatch) as exc:
+                cloud.replay(endpoint, stream[:-1], logger.commitments, logger.state.config)
+            assert exc.value.epoch == 2
+        assert list(cloud.endpoints) == ["ep0"] and cloud.endpoints["ep0"] is good
+        with pytest.raises(UnknownEndpoint):
+            cloud.analyze("ep1", CausalityQuery("0", le(1), BOTH))
+
     def test_clock_regression_rejected(self, tmp_path):
         stream, logger = self._logged(2 * self.interval)
         i = next(i for i in range(len(stream) - 1) if stream[i].ts < stream[i + 1].ts)
@@ -306,6 +320,27 @@ class TestReplayRules:
         edges[i].timestamp, edges[i + 1].timestamp = edges[i + 1].timestamp, edges[i].timestamp
         with pytest.raises(WireError, match="high-water mark"):
             self._load(tmp_path, logger)
+
+
+class TestWritePathWork:
+    """The write path's hardware-independent work on a fixed stream: synth
+    seed 7, 2,000 events, 500 entities, segmented L=1, interval 1000. A
+    faster write path must do exactly this work, and every replay of the
+    stream must sign these roots."""
+
+    def test_counts_and_roots(self):
+        counters = dimtree.counters
+        leaf0, internal0 = counters.leaf, counters.internal
+        logger = make_logger(interval=1000)
+        for ev in synth(SynthConfig(seed=7, n_events=2000, n_entities=500)):
+            logger.ingest(ev)
+        assert (counters.leaf - leaf0, counters.internal - internal0) == (3079, 4649)
+        assert logger.state.graph.total_digest_updates == 5365
+        assert logger.state.acc.sync_ops == 2438
+        assert [c.root.hex() for c in logger.commitments] == [
+            "9cb3ab705972d97a6627e97688ab193d0a068e1c1bab24262d541da5b36e32c5",
+            "a10961ce614c29924ccd4864465ebf45e68c22d251d17b21b1c206ef5fac2ffd",
+        ]
 
 
 class TestAdmin:

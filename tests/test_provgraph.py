@@ -6,6 +6,7 @@ import pytest
 
 from vcause import hashcore
 from vcause.accumulator import TimestampKey
+from vcause.ingest import SynthConfig, synth
 from vcause.provgraph import (
     SEGMENTED,
     UNSEGMENTED,
@@ -13,7 +14,9 @@ from vcause.provgraph import (
     EventRecord,
     Graph,
     UnknownNode,
+    terminal_marker,
 )
+from vcause.wire import node_ref
 
 from .helpers import (
     backward_reachable,
@@ -64,12 +67,12 @@ class TestRecordEvent:
         res = g.record_event(ev(1, "write", 2, 5))
         assert len(res.created) == 2  # entry for 1, version for 2
         entry, node = res.created
-        assert entry.pi_in == hashcore.mset_empty()
+        assert entry.pi_in == hashcore.mset_empty().value
         assert len(node.in_edge_ids) == 1
         dep = g.edges[node.in_edge_ids[0]]
         assert dep.kind == "dependency"
-        elem = g.encode_edge_logical(dep) + entry.pi_in.to_bytes()
-        assert node.pi_in == hashcore.mset_hash_set([elem])
+        elem = dep.enc_logical + entry.pi_in.to_bytes(hashcore.MSET_BYTES, "big")
+        assert node.pi_in == hashcore.mset_hash_set([elem]).value
 
     def test_clock_regression(self):
         g = Graph()
@@ -121,6 +124,61 @@ class TestRecordEvent:
             assert na.pi_in == nb.pi_in
             assert na.pi_out == nb.pi_out
             assert na.leaf_digest() == nb.leaf_digest()
+
+
+class TestCachedEncodings:
+    """Nodes keep their NodeRef bytes and edges their encodings from
+    creation on; both must equal what the canonical encoders give."""
+
+    @staticmethod
+    def _graph(mode, depth):
+        g = Graph(mode=mode, depth=depth)
+        events = list(synth(SynthConfig(seed=depth, n_events=600, n_entities=40)))
+        ts = events[-1].ts
+        # synth events carry no payloads
+        events += [
+            EventRecord(f"e{i}", "send", f"e{i + 1}", ts + i, bytes(range(i))) for i in range(5)
+        ]
+        for e in events:
+            g.record_event(e)
+        return g
+
+    @staticmethod
+    def _assert_canonical(g):
+        for ref, node in g.nodes.items():
+            assert node.ref == ref and node.ref_bytes == node_ref(ref)
+        for edge in g.edges:
+            assert edge.enc_logical == hashcore.encode_edge(edge, edge.src_ref, edge.dst_ref)
+            dst = g.nodes[edge.seg_dst_ref]
+            assert edge.enc_seg == hashcore.encode_edge(
+                edge, edge.src_ref, edge.seg_dst_ref
+            ) + terminal_marker(dst.is_terminal, dst.terminal_target)
+
+    @pytest.mark.parametrize("mode,depth", [
+        (SEGMENTED, 1), (SEGMENTED, 2), (SEGMENTED, 3), (UNSEGMENTED, 1),
+    ])
+    def test_caches_match_the_canonical_encoders(self, mode, depth):
+        g = self._graph(mode, depth)
+        self._assert_canonical(g)
+        if mode == SEGMENTED:
+            # re-rooting moved some dependency edges onto stubs
+            assert any(e.kind == "dependency" and e.seg_dst_ref != e.dst_ref for e in g.edges)
+        else:
+            assert all(e.seg_dst_ref == e.dst_ref for e in g.edges)
+
+    @pytest.mark.parametrize("mode", [SEGMENTED, UNSEGMENTED])
+    def test_fork_carries_the_caches(self, mode):
+        g = self._graph(mode, 2)
+        f = g.fork()
+        assert [(e.enc_logical, e.enc_seg) for e in f.edges] == [
+            (e.enc_logical, e.enc_seg) for e in g.edges
+        ]
+        assert {r: n.ref_bytes for r, n in f.nodes.items()} == {
+            r: n.ref_bytes for r, n in g.nodes.items()
+        }
+        f.record_event(EventRecord("e1", "w", "e2", g.last_ts + 1))
+        self._assert_canonical(f)
+        self._assert_canonical(g)
 
 
 class TestPiIn:
@@ -266,7 +324,7 @@ class TestSegmentation:
             g.record_event(e)
         for node in g.nodes.values():
             if node.is_terminal:
-                assert node.pi_out == hashcore.mset_empty()
+                assert node.pi_out == hashcore.mset_empty().value
                 assert not node.out_edge_ids
 
 
