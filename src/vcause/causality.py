@@ -15,29 +15,24 @@ fields would be a free forgery channel.
 
 from __future__ import annotations
 
+import struct
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import accumulator as acc_mod
-from .accumulator import NodeProofResult, Relation, TimestampKey
+from .accumulator import MAX_SEQ, NodeProofResult, Relation, TimestampKey
 from .commitment import Commitment
 from .dimtree import LeafRecord, MultiProof
 from .hashcore import (
+    EDGE_KIND_FROM_TAG,
+    EDGE_KIND_TAGS,
     MsetDigest,
     digest_hash,
-    edge_kind_bytes,
     encode_edge,
     mset_empty,
     mset_hash_set,
-    read_edge_kind,
 )
-from .provgraph import (
-    Graph,
-    NodeRef,
-    node_id_bytes,
-    node_leaf_digest,
-    read_node_id,
-    terminal_marker,
-)
+from .provgraph import Graph, NodeRef, node_leaf_digest, terminal_marker
 from .wire import Reader, WireError, bytes_lp, flag, node_ref, optional, seq, str_lp, u8, u64
 
 BACKWARD = "backward"
@@ -75,12 +70,25 @@ class CausalityQuery:
         return cls(ext, rel, direction)
 
 
+# u64 entity_id || TimestampKey || u8 is_terminal || u8 has_target
+_NODE_HEAD = struct.Struct(">QQIBB")
+# u8 kind || NodeRef src || NodeRef dst || u32 len(event_type)
+_EDGE_HEAD = struct.Struct(">BQQIQQII")
+# Digests are immutable, so every wire node whose digest is empty (stubs,
+# entries, childless versions) shares this one.
+_EMPTY_DIGEST = mset_empty()
+
+
 @dataclass(slots=True)
 class WireNode:
-    """One component node on the wire.
+    """One component node on the wire:
 
-    `pi` is the incoming digest in backward components and the (segmented)
-    outgoing digest in forward components.
+        u64 entity_id || TimestampKey || flag is_terminal ||
+        optional(NodeRef terminal_target) || MsetDigest pi
+
+    A node carries a target iff it is terminal. `pi` is the incoming digest
+    in backward components and the (segmented) outgoing digest in forward
+    components.
     """
 
     entity_id: int
@@ -94,18 +102,32 @@ class WireNode:
         return (self.entity_id, self.key.encoded())
 
     def to_bytes(self) -> bytes:
-        return node_id_bytes(
-            self.entity_id, self.key, self.is_terminal, self.terminal_target
-        ) + self.pi.to_bytes()
+        key, target = self.key, self.terminal_target
+        head = _NODE_HEAD.pack(
+            self.entity_id, key.timestamp, key.seq, self.is_terminal, target is not None
+        )
+        if target is not None:
+            head += node_ref(target)
+        return head + self.pi.to_bytes()
 
     @classmethod
     def read_from(cls, r: Reader) -> "WireNode":
-        return cls(*read_node_id(r), MsetDigest.read_from(r))
+        entity_id, timestamp, seq_no, terminal, has_target = r.unpack(_NODE_HEAD)
+        if terminal > 1 or terminal != has_target:
+            raise WireError(f"node flags ({terminal}, {has_target}): a node carries "
+                            "a terminal target iff it is terminal")
+        return cls(
+            entity_id, TimestampKey(timestamp, seq_no), terminal == 1,
+            r.node_ref() if terminal else None, MsetDigest.read_from(r),
+        )
 
 
 @dataclass(slots=True)
 class WireEdge:
-    """Edge record; the event time travels inside the destination's key."""
+    """Edge record; the event time travels inside the destination's key.
+
+        u8 kind || NodeRef src || NodeRef dst || lp(event_type) || lp(payload)
+    """
 
     kind: str
     src_ref: NodeRef
@@ -114,17 +136,33 @@ class WireEdge:
     payload: bytes = b""
 
     def to_bytes(self) -> bytes:
-        return (
-            edge_kind_bytes(self.kind)
-            + node_ref(self.src_ref)
-            + node_ref(self.dst_ref)
-            + str_lp(self.event_type)
-            + bytes_lp(self.payload)
-        )
+        (src_id, src_key), (dst_id, dst_key) = self.src_ref, self.dst_ref
+        event_type = self.event_type.encode("utf-8")
+        payload = self.payload
+        return b"".join((
+            _EDGE_HEAD.pack(
+                EDGE_KIND_TAGS[self.kind],
+                src_id, src_key >> 32, src_key & MAX_SEQ,
+                dst_id, dst_key >> 32, dst_key & MAX_SEQ,
+                len(event_type),
+            ),
+            event_type, len(payload).to_bytes(4, "big"), payload,  # lp(payload)
+        ))
 
     @classmethod
     def read_from(cls, r: Reader) -> "WireEdge":
-        return cls(read_edge_kind(r), r.node_ref(), r.node_ref(), r.str_lp(), r.bytes_lp())
+        tag, src_id, src_ts, src_seq, dst_id, dst_ts, dst_seq, n = r.unpack(_EDGE_HEAD)
+        kind = EDGE_KIND_FROM_TAG.get(tag)
+        if kind is None:
+            raise WireError(f"unknown edge kind {tag}")
+        try:
+            event_type = r.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireError("invalid utf-8 in an edge event type") from exc
+        return cls(
+            kind, (src_id, (src_ts << 32) | src_seq), (dst_id, (dst_ts << 32) | dst_seq),
+            event_type, r.bytes_lp(),
+        )
 
 
 @dataclass(slots=True)
@@ -142,9 +180,7 @@ class PoiRecord:
         return (self.entity_id, self.key.encoded())
 
     def leaf_digest(self, entity_ext: str) -> bytes:
-        return node_leaf_digest(
-            entity_ext, self.entity_id, self.key, self.pi_in_hash, self.pi_out_hash
-        )
+        return node_leaf_digest(entity_ext, self.ref, self.pi_in_hash, self.pi_out_hash)
 
     def to_bytes(self) -> bytes:
         return u64(self.entity_id) + self.key.to_bytes() + self.pi_in_hash + self.pi_out_hash
@@ -289,23 +325,6 @@ class VerifyReport:
 # -- proof generation ---------------------------------------------------------
 
 
-# Digests are immutable, so every wire node whose digest is empty (stubs,
-# entries, childless versions) shares this one.
-_EMPTY_DIGEST = mset_empty()
-
-
-def _wire_node(node, pi: int) -> WireNode:
-    return WireNode(
-        node.entity_id, node.key, node.is_terminal, node.terminal_target,
-        MsetDigest(pi) if pi else _EMPTY_DIGEST,
-    )
-
-
-def _wire_edge(edge, seg_view: bool) -> WireEdge:
-    dst = edge.seg_dst_ref if seg_view else edge.dst_ref
-    return WireEdge(edge.kind, edge.src_ref, dst, edge.event_type, edge.payload)
-
-
 def _anchor_section(
     graph: Graph, acc, anchors: list
 ) -> tuple[list[AnchorEntity], MultiProof | None]:
@@ -341,16 +360,33 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
 
     if query.wants_backward():
         nodes, edges = graph.collect_backward(poi_ref)
-        bundle.backward_nodes = [_wire_node(n, n.pi_in) for n in nodes]
-        bundle.backward_edges = [_wire_edge(e, seg_view=False) for e in edges]
+        bundle.backward_nodes = [
+            WireNode(
+                n.entity_id, n.key, n.is_terminal, n.terminal_target,
+                MsetDigest(n.pi_in) if n.pi_in else _EMPTY_DIGEST,
+            )
+            for n in nodes
+        ]
+        bundle.backward_edges = [
+            WireEdge(e.kind, e.src_ref, e.dst_ref, e.event_type, e.payload) for e in edges
+        ]
 
     if query.wants_forward():
         segments = graph.collect_forward(poi_ref)
         bundle.forward_segments = [
             WireSegment(
                 seg.anchor_ref,
-                [_wire_node(n, n.pi_out) for n in seg.nodes],
-                [_wire_edge(e, seg_view=True) for e in seg.edges],
+                [
+                    WireNode(
+                        n.entity_id, n.key, n.is_terminal, n.terminal_target,
+                        MsetDigest(n.pi_out) if n.pi_out else _EMPTY_DIGEST,
+                    )
+                    for n in seg.nodes
+                ],
+                [
+                    WireEdge(e.kind, e.src_ref, e.seg_dst_ref, e.event_type, e.payload)
+                    for e in seg.edges
+                ],
             )
             for seg in segments
         ]
@@ -362,45 +398,68 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
 # -- validation ---------------------------------------------------------------
 
 
+_PLAIN_MARKER = terminal_marker(False, None)
+_STUB_MARKER = flag(True)  # followed by the stub's target NodeRef
+_EMPTY_DIGEST_BYTES = _EMPTY_DIGEST.to_bytes()
+
+
 def _digests_match(
     pool: dict[NodeRef, WireNode],
-    children: dict[NodeRef, list[tuple[bytes, NodeRef]]],
+    children: dict[NodeRef, list[int]],
+    prefixes: list[bytes],
+    kid_refs: list[NodeRef],
     starts: list[NodeRef],
 ) -> bool:
     """Recompute every pooled digest bottom-up and compare it with its claim.
 
-    A node's digest is the multiset hash of `prefix || child digest` over
-    its (prefix, child) entries; a childless node's is the empty digest.
-    Rejects cycles and pooled nodes that no walk from `starts` reaches
-    (unreachable extras are forgeries). Reaching every node consumes every
-    entry of `children`, so no supplied edge escapes the comparison.
+    Entry i is `prefixes[i]` over the child `kid_refs[i]`; `children` maps
+    a node to its entries. A node's digest is the multiset hash of
+    `prefix || child digest` over its entries; a node without entries has
+    the empty digest. Each digest is compared with its node's claim as soon
+    as it is known. Rejects cycles and pooled nodes that no walk from
+    `starts` reaches (unreachable extras are forgeries). Reaching every node
+    consumes every entry, so no supplied edge escapes the comparison.
     """
-    computed: dict[NodeRef, MsetDigest] = {}
-    in_progress: set[NodeRef] = set()
+    # every finished node's recomputed digest, as the bytes that end its
+    # parents' elements
+    done: dict[NodeRef, bytes] = {}
+    # expanded nodes whose children are still being computed: the walk's
+    # current path, so meeting one again closes a cycle
+    on_path: set[NodeRef] = set()
     for start in starts:
-        stack: list[tuple[NodeRef, bool]] = [(start, False)]
+        stack = [start]
         while stack:
-            ref, expand = stack.pop()
-            kids = children[ref]
-            if expand:
-                in_progress.discard(ref)
-                elems = []
-                for prefix, child in kids:
-                    child_pi = computed.get(child)
-                    if child_pi is None:
-                        return False  # cycle: a child never finished computing
-                    elems.append(prefix + child_pi.to_bytes())
-                computed[ref] = mset_hash_set(elems)
-            elif ref not in computed and ref not in in_progress:
-                if not kids:
-                    computed[ref] = mset_empty()
-                    continue
-                in_progress.add(ref)
-                stack.append((ref, True))
-                stack.extend((child, False) for _, child in kids)
-    if len(computed) != len(pool):
-        return False
-    return all(computed[ref].value == n.pi.value for ref, n in pool.items())
+            ref = stack.pop()
+            if ref in done:
+                continue
+            entries = children.get(ref)
+            if entries is None:
+                if pool[ref].pi.to_bytes() != _EMPTY_DIGEST_BYTES:
+                    return False
+                done[ref] = _EMPTY_DIGEST_BYTES
+            elif ref in on_path:  # its children are done: close it
+                on_path.discard(ref)
+                digest = mset_hash_set([prefixes[i] + done[kid_refs[i]] for i in entries])
+                raw = digest.to_bytes()
+                if raw != pool[ref].pi.to_bytes():
+                    return False
+                done[ref] = raw
+            else:
+                on_path.add(ref)
+                stack.append(ref)
+                for i in entries:
+                    child = kid_refs[i]
+                    if child in done:
+                        continue
+                    if child in on_path:
+                        return False
+                    if child in children:
+                        stack.append(child)
+                    elif pool[child].pi.to_bytes() != _EMPTY_DIGEST_BYTES:
+                        return False  # a childless child finishes here
+                    else:
+                        done[child] = _EMPTY_DIGEST_BYTES
+    return len(done) == len(pool)
 
 
 def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]) -> bool:
@@ -412,18 +471,27 @@ def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]
     """
     pool: dict[NodeRef, WireNode] = {}
     for n in nodes:
-        if n.ref in pool or n.is_terminal:
-            return False  # duplicates are ambiguous; terminals never appear backward
-        pool[n.ref] = n
-    poi_rec = pool.get(poi.ref)
-    if poi_rec is None or digest_hash(poi_rec.pi.value) != poi.pi_in_hash:
-        return False
-    sources: dict[NodeRef, list[tuple[bytes, NodeRef]]] = {ref: [] for ref in pool}
-    for e in edges:
-        if e.dst_ref not in pool or e.src_ref not in pool:
+        key = n.key
+        ref = (n.entity_id, (key.timestamp << 32) | key.seq)  # n.ref
+        # duplicates are ambiguous; terminals never appear backward
+        if ref in pool or n.is_terminal or n.terminal_target is not None:
             return False
-        sources[e.dst_ref].append((encode_edge(e, e.src_ref, e.dst_ref), e.src_ref))
-    return _digests_match(pool, sources, [poi.ref])
+        pool[ref] = n
+    poi_rec = pool.get(poi.ref)
+    if poi_rec is None or poi_rec.pi.hashed() != poi.pi_in_hash:
+        return False
+    # a node's entries are its in-edges, over their sources
+    sources: dict[NodeRef, list[int]] = defaultdict(list)
+    prefixes: list[bytes] = []
+    kid_refs: list[NodeRef] = []
+    for i, e in enumerate(edges):
+        src, dst = e.src_ref, e.dst_ref
+        if dst not in pool or src not in pool:
+            return False
+        sources[dst].append(i)
+        prefixes.append(encode_edge(e, src, dst))
+        kid_refs.append(src)
+    return _digests_match(pool, sources, prefixes, kid_refs, [poi.ref])
 
 
 def verify_forward(
@@ -439,46 +507,57 @@ def verify_forward(
     if not segments or segments[0].anchor_ref != poi.ref:
         return False
     pool: dict[NodeRef, WireNode] = {}
+    terminals: list[WireNode] = []
     edges: list[WireEdge] = []
     for seg in segments:
         for n in seg.nodes:
-            if n.ref in pool:
+            key = n.key
+            ref = (n.entity_id, (key.timestamp << 32) | key.seq)  # n.ref
+            if ref in pool or n.is_terminal != (n.terminal_target is not None):
                 return False
-            if n.is_terminal != (n.terminal_target is not None):
-                return False
-            pool[n.ref] = n
+            if n.is_terminal:
+                terminals.append(n)
+            pool[ref] = n
         edges.extend(seg.edges)
     poi_rec = pool.get(poi.ref)
-    if poi_rec is None or poi_rec.is_terminal or digest_hash(poi_rec.pi.value) != poi.pi_out_hash:
+    if poi_rec is None or poi_rec.is_terminal or poi_rec.pi.hashed() != poi.pi_out_hash:
         return False
 
     # every terminal target must be a supplied non-terminal node
-    for n in pool.values():
-        if n.is_terminal:
-            target = pool.get(n.terminal_target)
-            if target is None or target.is_terminal:
-                return False
+    for n in terminals:
+        target = pool.get(n.terminal_target)
+        if target is None or target.is_terminal:
+            return False
 
     # anchors beyond the POI: exactly the supplied segments, each justified
     # by some terminal and authenticated by a root proof
     anchor_refs = [seg.anchor_ref for seg in segments[1:]]
     if len(set(anchor_refs)) != len(anchor_refs):
         return False
-    targets = {n.terminal_target for n in pool.values() if n.is_terminal}
-    if not set(anchor_refs) <= targets:
+    if not set(anchor_refs) <= {n.terminal_target for n in terminals}:
         return False
     if not _verify_anchors(anchor_refs, pool, root_proofs, anchor_global, commitment.root):
         return False
 
-    # terminals are leaves: no edge may leave one
-    successors: dict[NodeRef, list[tuple[bytes, NodeRef]]] = {ref: [] for ref in pool}
-    for e in edges:
-        src, dst = pool.get(e.src_ref), pool.get(e.dst_ref)
+    # a node's entries are its out-edges, over their destinations; no edge
+    # may leave a terminal, and an edge into one binds its marker
+    successors: dict[NodeRef, list[int]] = defaultdict(list)
+    prefixes: list[bytes] = []
+    kid_refs: list[NodeRef] = []
+    for i, e in enumerate(edges):
+        src_ref, dst_ref = e.src_ref, e.dst_ref
+        src, dst = pool.get(src_ref), pool.get(dst_ref)
         if src is None or dst is None or src.is_terminal:
             return False
-        marker = terminal_marker(dst.is_terminal, dst.terminal_target)
-        successors[e.src_ref].append((encode_edge(e, e.src_ref, e.dst_ref) + marker, e.dst_ref))
-    return _digests_match(pool, successors, [poi.ref] + anchor_refs)
+        enc = encode_edge(e, src_ref, dst_ref)
+        if dst.is_terminal:
+            enc += _STUB_MARKER + node_ref(dst.terminal_target)
+        else:
+            enc += _PLAIN_MARKER
+        successors[src_ref].append(i)
+        prefixes.append(enc)
+        kid_refs.append(dst_ref)
+    return _digests_match(pool, successors, prefixes, kid_refs, [poi.ref] + anchor_refs)
 
 
 def _verify_anchors(
@@ -502,14 +581,13 @@ def _verify_anchors(
     for (entity_id, keys), entry in zip(by_entity.items(), entries):
         if len(entry.pi_in_hashes) != len(keys):
             return False
-        leaves = [
-            LeafRecord(key, node_leaf_digest(
-                entry.entity_ext, entity_id, TimestampKey.from_encoded(key),
-                pi_in_hash, digest_hash(pool[(entity_id, key)].pi.value),
-            ))
-            for key, pi_in_hash in zip(keys, entry.pi_in_hashes)
-        ]
-        members.append((entity_id, entry.entity_ext, leaves, entry.local_proof))
+        ext = entry.entity_ext
+        leaves = []
+        for key, pi_in_hash in zip(keys, entry.pi_in_hashes):
+            ref = (entity_id, key)
+            pi_out_hash = pool[ref].pi.hashed()
+            leaves.append(LeafRecord(key, node_leaf_digest(ext, ref, pi_in_hash, pi_out_hash)))
+        members.append((entity_id, ext, leaves, entry.local_proof))
     return acc_mod.members_root(anchor_global, members) == root
 
 

@@ -16,6 +16,7 @@ nodes are cached and invalidated lazily on the next mutation.
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
@@ -115,7 +116,13 @@ def _leaf_node(key: int, payload: bytes) -> _Node:
 
 
 def _leaf_hash(key: int, payload: bytes) -> bytes:
-    return _leaf_node(key, payload).hash
+    """_leaf_node's hash, without the node."""
+    counters.leaf += 1
+    return hashlib.sha3_256(_LEAF_TAG + key.to_bytes(16, "big") + payload).digest()
+
+
+_BOUNDS = struct.Struct(">8Q")  # four u128 bounds as eight u64 halves
+_LOW64 = (1 << 64) - 1
 
 
 def _internal_hash(
@@ -131,15 +138,10 @@ def _internal_hash(
     # max, right child's min) unauthenticated, and those are exactly the
     # fields floor/ceiling and gap-absence checks rely on.
     counters.internal += 1
-    return hashlib.sha3_256(
-        _INTERNAL_TAG
-        + left_hash
-        + right_hash
-        + u128(l_min)
-        + u128(l_max)
-        + u128(r_min)
-        + u128(r_max)
-    ).digest()
+    return hashlib.sha3_256(_INTERNAL_TAG + left_hash + right_hash + _BOUNDS.pack(
+        l_min >> 64, l_min & _LOW64, l_max >> 64, l_max & _LOW64,
+        r_min >> 64, r_min & _LOW64, r_max >> 64, r_max & _LOW64,
+    )).digest()
 
 
 def _merge(left: _Node, right: _Node) -> _Node:
@@ -267,6 +269,8 @@ class SearchProof:
 # Node kinds of a multiproof walk besides opaque (hash, min, max) summaries.
 EXPANDED_INTERNAL = "internal"
 EXPANDED_LEAF = "leaf"
+_SUMMARY = struct.Struct(">32sQQQQ")  # opaque summary: hash || u128 min || u128 max
+_MIN_MAX = struct.Struct(">QQQQ")  # its u128 min || u128 max
 
 
 def interval(lo: int, hi: int):
@@ -308,7 +312,8 @@ class MultiProof:
                 out.append(b"\x01\x00")
             else:
                 h, mn, mx = node
-                out.append(b"\x00" + h + u128(mn) + u128(mx))
+                bounds = _MIN_MAX.pack(mn >> 64, mn & _LOW64, mx >> 64, mx & _LOW64)
+                out.append(b"\x00" + h + bounds)
         return b"".join(out)
 
     @classmethod
@@ -318,7 +323,8 @@ class MultiProof:
         while open_slots:
             open_slots -= 1
             if not r.flag():
-                nodes.append((r.take(32), r.u128(), r.u128()))
+                h, min_hi, min_lo, max_hi, max_lo = r.unpack(_SUMMARY)
+                nodes.append((h, (min_hi << 64) | min_lo, (max_hi << 64) | max_lo))
             elif r.flag():
                 nodes.append(EXPANDED_INTERNAL)
                 open_slots += 2
@@ -656,34 +662,39 @@ def fold_multiproof(proof: MultiProof, meets, leaves: list[LeafRecord]) -> bytes
     intervals must not overlap.
     """
     nodes = proof.nodes
+    last = len(nodes) - 1
     pending = iter(leaves)
-    stack: list[list] = []  # child summaries of the expanded nodes above
+    # per expanded node above the walk: None, or its left child's summary
+    stack: list = []
     for i, node in enumerate(nodes):
         if node is EXPANDED_INTERNAL:
-            stack.append([])
+            stack.append(None)
             continue
         if node is EXPANDED_LEAF:
             leaf = next(pending, None)
-            if leaf is None or (stack and not meets(leaf.key, leaf.key)):
+            if leaf is None:
                 return None
-            cur = (_leaf_hash(leaf.key, leaf.payload), leaf.key, leaf.key)
+            key = leaf.key
+            if stack and not meets(key, key):
+                return None
+            cur = (_leaf_hash(key, leaf.payload), key, key)
         else:
             _, mn, mx = node
             if not stack or mn > mx or meets(mn, mx):
                 return None  # an opaque root or a hidden match
             cur = node
         while stack:
-            children = stack[-1]
-            children.append(cur)
-            if len(children) == 1:
+            left = stack.pop()
+            if left is None:
+                stack.append(cur)
                 break
-            stack.pop()
-            (lh, lmin, lmax), (rh, rmin, rmax) = children
+            lh, lmin, lmax = left
+            rh, rmin, rmax = cur
             if lmax > rmin or (stack and not meets(lmin, rmax)):
                 return None
             cur = (_internal_hash(lh, rh, lmin, lmax, rmin, rmax), lmin, rmax)
         else:
-            if i != len(nodes) - 1 or next(pending, None) is not None:
+            if i != last or next(pending, None) is not None:
                 return None
             return cur[0]
     return None

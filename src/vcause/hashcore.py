@@ -13,6 +13,7 @@ All operations are pure; nothing here holds mutable state.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -29,7 +30,7 @@ from cryptography.hazmat.primitives.serialization import (
     load_pem_public_key,
 )
 
-from .wire import Reader, WireError, bytes_lp, decode, node_ref, str_lp, u8
+from .wire import Reader, decode, u8
 
 DIGEST_SIZE = 32
 
@@ -47,7 +48,6 @@ def hash_bytes(data: bytes) -> bytes:
     return hashlib.sha3_256(data).digest()
 
 
-@dataclass(frozen=True, slots=True)
 class MsetDigest:
     """Element of the additive group Z/2^4096 used for multiset hashing.
 
@@ -55,40 +55,86 @@ class MsetDigest:
     Subtracting an element that was never added still yields a valid group
     element; it simply will not compare equal to any honestly computed
     digest.
+
+    Immutable. A digest keeps the one form it was built from, its value or
+    its 512-byte big-endian encoding, and derives the other on each use:
+    a decoded digest that is only compared or hashed never becomes an int.
     """
 
-    value: int
+    __slots__ = ("_value", "_raw")  # exactly one of them is set
+
+    def __init__(self, value: int):
+        if not 0 <= value <= MSET_MASK:
+            raise ValueError("an mset digest lies in [0, 2^4096)")
+        self._value = value
+        self._raw = None
+
+    @property
+    def value(self) -> int:
+        value = self._value
+        return int.from_bytes(self._raw, "big") if value is None else value
 
     def to_bytes(self) -> bytes:
-        return self.value.to_bytes(MSET_BYTES, "big")
+        raw = self._raw
+        return self._value.to_bytes(MSET_BYTES, "big") if raw is None else raw
+
+    def hashed(self) -> bytes:
+        """digest_hash of this digest."""
+        return _hash_encoded_digest(self.to_bytes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MsetDigest):
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __repr__(self) -> str:
+        return f"MsetDigest(value={self.value})"
 
     @classmethod
     def read_from(cls, r: Reader) -> "MsetDigest":
-        return cls(int.from_bytes(r.take(MSET_BYTES), "big"))
+        raw = r.take(MSET_BYTES)
+        if raw == _EMPTY_RAW:
+            return _EMPTY  # digests are immutable: every empty one is the same
+        d = cls.__new__(cls)
+        d._value = None
+        d._raw = raw
+        return d
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MsetDigest":
         return decode(data, cls.read_from)
 
 
+_EMPTY = MsetDigest(0)
+_EMPTY_RAW = _EMPTY.to_bytes()
+
+
 def digest_hash(value: int) -> bytes:
     """32-byte stand-in for a path digest, given as its group value:
     accumulator leaves bind it, and POI records and anchors carry it
     instead of the 512-byte digest."""
-    return hashlib.sha3_256(_TAG_DIGEST + value.to_bytes(MSET_BYTES, "big")).digest()
+    return _hash_encoded_digest(value.to_bytes(MSET_BYTES, "big"))
+
+
+def _hash_encoded_digest(raw: bytes) -> bytes:
+    return hashlib.sha3_256(_TAG_DIGEST + raw).digest()
+
+
+_shake_256 = hashlib.shake_256
 
 
 def mset_element(elem: bytes) -> int:
     """Group element of one multiset member; digests are sums of these
     mod 2^4096."""
-    return int.from_bytes(
-        hashlib.shake_256(_TAG_MSET_ELEM + elem).digest(MSET_BYTES), "big"
-    )
+    return int.from_bytes(_shake_256(_TAG_MSET_ELEM + elem).digest(MSET_BYTES), "big")
 
 
 def mset_empty() -> MsetDigest:
     """The group identity: the multiset hash of the empty set."""
-    return MsetDigest(0)
+    return _EMPTY
 
 
 def mset_add(d: MsetDigest, elem: bytes) -> MsetDigest:
@@ -100,27 +146,24 @@ def mset_sub(d: MsetDigest, elem: bytes) -> MsetDigest:
 
 
 def mset_hash_set(elems) -> MsetDigest:
-    """Multiset hash of an iterable of byte strings, order-invariant."""
+    """Multiset hash of an iterable of byte strings, order-invariant: the
+    sum of their mset_element values, computed inline."""
     total = 0
     for e in elems:
-        total += mset_element(e)
+        total += int.from_bytes(_shake_256(_TAG_MSET_ELEM + e).digest(MSET_BYTES), "big")
     return MsetDigest(total & MSET_MASK)
 
 
-_EDGE_KIND_TAGS = {"temporal": 0, "dependency": 1}
-_EDGE_KIND_BYTES = {k: u8(v) for k, v in _EDGE_KIND_TAGS.items()}
-_EDGE_KIND_FROM_TAG = {v: k for k, v in _EDGE_KIND_TAGS.items()}
+EDGE_KIND_TAGS = {"temporal": 0, "dependency": 1}
+EDGE_KIND_FROM_TAG = {v: k for k, v in EDGE_KIND_TAGS.items()}
+_EDGE_KIND_BYTES = {k: u8(v) for k, v in EDGE_KIND_TAGS.items()}
+# src NodeRef || dst NodeRef || u8 kind || u32 len(event_type)
+_EDGE_HEAD = struct.Struct(">QQIQQIBI")
+_SEQ_MASK = 0xFFFFFFFF  # the seq half of an encoded TimestampKey
 
 
 def edge_kind_bytes(kind: str) -> bytes:
     return _EDGE_KIND_BYTES[kind]
-
-
-def read_edge_kind(r: Reader) -> str:
-    kind = _EDGE_KIND_FROM_TAG.get(r.u8())
-    if kind is None:
-        raise WireError("unknown edge kind")
-    return kind
 
 
 def encode_edge(edge, src_ref, dst_ref) -> bytes:
@@ -128,14 +171,19 @@ def encode_edge(edge, src_ref, dst_ref) -> bytes:
 
     Field order: src NodeRef, dst NodeRef, edge kind, event type, payload.
     Fixed-width big-endian integers plus length-prefixed variable fields
-    make the encoding prefix-free over the fixed field count.
+    make the encoding prefix-free over the fixed field count. The fixed
+    fields and the event type's length are one struct pack.
     """
+    (src_id, src_key), (dst_id, dst_key) = src_ref, dst_ref
+    event_type = edge.event_type.encode("utf-8")
+    payload = edge.payload
     return b"".join((
-        node_ref(src_ref),
-        node_ref(dst_ref),
-        edge_kind_bytes(edge.kind),
-        str_lp(edge.event_type),
-        bytes_lp(edge.payload),
+        _EDGE_HEAD.pack(
+            src_id, src_key >> 32, src_key & _SEQ_MASK,
+            dst_id, dst_key >> 32, dst_key & _SEQ_MASK,
+            EDGE_KIND_TAGS[edge.kind], len(event_type),
+        ),
+        event_type, len(payload).to_bytes(4, "big"), payload,
     ))
 
 

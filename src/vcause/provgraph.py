@@ -37,7 +37,7 @@ from operator import attrgetter
 
 from .accumulator import MAX_SEQ, TimestampKey
 from .hashcore import MSET_BYTES, MSET_MASK, digest_hash, edge_kind_bytes, mset_element
-from .wire import Reader, bytes_lp, flag, node_ref, optional, str_lp
+from .wire import bytes_lp, flag, node_ref, optional, str_lp
 
 _NODE_ID_PACK = struct.Struct(">QQI")  # the NodeRef layout of wire.node_ref
 
@@ -68,7 +68,9 @@ def terminal_marker(is_terminal: bool, target: NodeRef | None) -> bytes:
 _PLAIN_MARKER = terminal_marker(False, None)
 _STUB_MARKER = flag(True)  # followed by the stub's target NodeRef
 _EMPTY_DIGEST = bytes(MSET_BYTES)  # the empty digest's bytes: a child just attached
-_REAL_ID_SUFFIX = flag(False) + optional(None)  # node_id_bytes tail of a non-terminal node
+# the node-identity tail of a non-terminal node (is_terminal 0, no target),
+# as causality.WireNode writes it
+_REAL_ID_SUFFIX = flag(False) + optional(None)
 # The edge ids of a stub: no logical edge starts or ends at one, so every
 # stub shares this empty tuple instead of holding an empty list.
 _NO_EDGES: tuple[int, ...] = ()
@@ -77,38 +79,21 @@ _BY_REF = attrgetter("ref")  # component orders
 _BY_EDGE_ID = attrgetter("edge_id")
 
 
-def node_id_bytes(
-    entity_id: int, key: TimestampKey, is_terminal: bool, target: NodeRef | None
-) -> bytes:
-    """Node identity as leaf preimages and wire records carry it:
-    u64 entity_id || TimestampKey || flag is_terminal || optional NodeRef."""
-    head = _NODE_ID_PACK.pack(entity_id, key.timestamp, key.seq)
-    return head + flag(is_terminal) + optional(target, node_ref)
-
-
-def read_node_id(r: Reader) -> tuple[int, TimestampKey, bool, NodeRef | None]:
-    return r.u64(), TimestampKey.read_from(r), r.flag(), r.optional(Reader.node_ref)
-
-
 def _leaf_hash(entity_ext: str, ref_bytes: bytes, pi_in_hash: bytes, pi_out_hash: bytes) -> bytes:
+    ext = entity_ext.encode("utf-8")
     return hashlib.sha3_256(b"".join((
-        _NLEAF_TAG, _NODE_TAG, str_lp(entity_ext), ref_bytes, _REAL_ID_SUFFIX,
-        pi_in_hash, pi_out_hash,
+        _NLEAF_TAG, _NODE_TAG, len(ext).to_bytes(4, "big"), ext,  # lp(entity_ext)
+        ref_bytes, _REAL_ID_SUFFIX, pi_in_hash, pi_out_hash,
     ))).digest()
 
 
 def node_leaf_digest(
-    entity_ext: str,
-    entity_id: int,
-    key: TimestampKey,
-    pi_in_hash: bytes,
-    pi_out_hash: bytes,
+    entity_ext: str, ref: NodeRef, pi_in_hash: bytes, pi_out_hash: bytes
 ) -> bytes:
     """Accumulator leaf payload: binds the external id, the node identity
-    (node_id_bytes of a non-terminal node) and the hashes of both path
-    digests. Only non-terminal nodes have leaves."""
-    ref_bytes = _NODE_ID_PACK.pack(entity_id, key.timestamp, key.seq)
-    return _leaf_hash(entity_ext, ref_bytes, pi_in_hash, pi_out_hash)
+    of a non-terminal node and the hashes of both path digests. Only
+    non-terminal nodes have leaves."""
+    return _leaf_hash(entity_ext, node_ref(ref), pi_in_hash, pi_out_hash)
 
 
 class ClockRegression(ValueError):

@@ -78,16 +78,34 @@ class Reader:
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
+        self._end = len(data)
+
+    def _truncated(self, n: int) -> WireError:
+        return WireError(f"truncated: need {n} bytes at offset {self._pos}")
 
     def take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise WireError(f"truncated: need {n} bytes at offset {self._pos}")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        pos = self._pos
+        end = pos + n
+        if n < 0 or end > self._end:
+            raise self._truncated(n)
+        self._pos = end
+        return self._data[pos:end]
+
+    def unpack(self, st: struct.Struct) -> tuple:
+        """The fields of one fixed-width struct, read in one step."""
+        pos = self._pos
+        end = pos + st.size
+        if end > self._end:
+            raise self._truncated(st.size)
+        self._pos = end
+        return st.unpack_from(self._data, pos)
 
     def u8(self) -> int:
-        return int.from_bytes(self.take(1), "big")
+        pos = self._pos
+        if pos >= self._end:
+            raise self._truncated(1)
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u16(self) -> int:
         return int.from_bytes(self.take(2), "big")
@@ -102,13 +120,17 @@ class Reader:
         return int.from_bytes(self.take(16), "big")
 
     def flag(self) -> bool:
-        v = self.u8()
+        pos = self._pos
+        if pos >= self._end:
+            raise self._truncated(1)
+        v = self._data[pos]
         if v > 1:
-            raise WireError(f"flag byte {v} at offset {self._pos - 1}")
+            raise WireError(f"flag byte {v} at offset {pos}")
+        self._pos = pos + 1
         return v == 1
 
     def node_ref(self) -> tuple[int, int]:
-        entity_id, timestamp, seq_no = _REF.unpack(self.take(_REF.size))
+        entity_id, timestamp, seq_no = self.unpack(_REF)
         return entity_id, (timestamp << 32) | seq_no
 
     def optional(self, decode):
@@ -118,7 +140,17 @@ class Reader:
         return [decode(self) for _ in range(self.u32())]
 
     def bytes_lp(self) -> bytes:
-        return self.take(self.u32())
+        data, pos = self._data, self._pos
+        start = pos + 4
+        if start > self._end:
+            raise self._truncated(4)
+        n = int.from_bytes(data[pos:start], "big")
+        end = start + n
+        if end > self._end:
+            self._pos = start
+            raise self._truncated(n)
+        self._pos = end
+        return data[start:end]
 
     def str_lp(self) -> str:
         try:
@@ -127,10 +159,10 @@ class Reader:
             raise WireError(f"invalid utf-8 at offset {self._pos}") from exc
 
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
     def finish(self) -> None:
-        if self._pos != len(self._data):
+        if self._pos != self._end:
             raise WireError(f"{self.remaining()} trailing bytes")
 
 
