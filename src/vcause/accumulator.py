@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from . import dimtree
 from .dimtree import DimTree, LeafRecord, MultiProof, RangeSearchResult, SearchProof
 from .hashcore import hash_bytes
-from .wire import Reader, WireError, decode, flag, optional, seq, str_lp, u8, u64, u128
+from .wire import SEQ_MASK, Reader, WireError, decode, flag, optional, seq, str_lp, u8, u64, u128
 
 _GLOBAL_LEAF_TAG = b"vc:global-leaf\x00"
 _REGISTRY_TAG = b"vc:registry\x00"
 
-MAX_SEQ = (1 << 32) - 1
+MAX_SEQ = SEQ_MASK  # a key's seq fills the seq half of its encoding
 
 _KEY_PACK = struct.Struct(">QI")
 
@@ -148,23 +148,31 @@ def _search_tail(internal_id, global_proof, local, registry) -> bytes:
     ))
 
 
-def _checked_id(internal_id: int, unknown_entity: bool) -> int | None:
-    """An unknown entity has no internal id: it travels as 0, and only as 0,
-    so that one answer has one accepted encoding."""
-    if not unknown_entity:
-        return internal_id
+def _read_search_tail(r: Reader, read_local) -> tuple:
+    """Inverse of _search_tail. Every proof carries a global proof and
+    exactly one of a local proof and a registry; the registry marks an
+    unknown entity, whose internal id travels as 0, and only as 0. So one
+    answer has one accepted encoding."""
+    internal_id = r.u64()
+    gp = r.optional(SearchProof.read_from)
+    local = r.optional(read_local)
+    registry = r.optional(read_registry)
+    if gp is None or (local is None) == (registry is None):
+        raise WireError("a proof carries a global proof and a local proof or a registry")
+    if registry is None:
+        return internal_id, gp, local, None
     if internal_id != 0:
         raise WireError("internal id on an unknown-entity proof")
-    return None
+    return None, gp, None, registry
 
 
 @dataclass(slots=True)
 class NodeProof:
     """Evidence for a single-node query outcome.
 
-    member / nonmember_local carry both a global and a local path;
-    nonmember_global carries the committed registry snapshot plus a global
-    absence path for the next dense internal id.
+    member / nonmember_local carry both a global and a local path, and no
+    registry; nonmember_global carries the committed registry snapshot plus
+    a global absence path for the next dense internal id, and no local path.
     """
 
     kind: str
@@ -190,10 +198,10 @@ class NodeProof:
         if kind is None:
             raise WireError("unknown proof kind")
         entity_ext = r.str_lp()
-        internal_id = _checked_id(r.u64(), kind == KIND_NONMEMBER_GLOBAL)
-        gp = r.optional(SearchProof.read_from)
-        lp = r.optional(SearchProof.read_from)
-        return cls(kind, entity_ext, internal_id, gp, lp, r.optional(read_registry))
+        internal_id, gp, lp, registry = _read_search_tail(r, SearchProof.read_from)
+        if (registry is not None) != (kind == KIND_NONMEMBER_GLOBAL):
+            raise WireError("a registry travels with, and only with, a nonmember_global proof")
+        return cls(kind, entity_ext, internal_id, gp, lp, registry)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NodeProof":
@@ -222,6 +230,9 @@ class NodeProofResult:
 
 @dataclass(slots=True)
 class RangeProof:
+    """A global path plus either the local range search (known entity) or
+    the registry snapshot (unknown entity)."""
+
     entity_ext: str
     internal_id: int | None
     global_proof: SearchProof | None
@@ -239,12 +250,7 @@ class RangeProof:
     def read_from(cls, r: Reader) -> "RangeProof":
         if r.u8() != 1:
             raise WireError("unsupported range proof version")
-        entity_ext = r.str_lp()
-        internal_id = r.u64()
-        gp = r.optional(SearchProof.read_from)
-        lr = r.optional(RangeSearchResult.read_from)
-        registry = r.optional(read_registry)
-        return cls(entity_ext, _checked_id(internal_id, registry is not None), gp, lr, registry)
+        return cls(r.str_lp(), *_read_search_tail(r, RangeSearchResult.read_from))
 
 
 @dataclass(slots=True)

@@ -20,20 +20,21 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import accumulator as acc_mod
-from .accumulator import MAX_SEQ, NodeProofResult, Relation, TimestampKey
+from .accumulator import NodeProofResult, Relation, TimestampKey
 from .commitment import Commitment
 from .dimtree import LeafRecord, MultiProof
 from .hashcore import (
-    EDGE_KIND_FROM_TAG,
-    EDGE_KIND_TAGS,
+    EMPTY_DIGEST_BYTES,
     MsetDigest,
     digest_hash,
     encode_edge,
     mset_empty,
     mset_hash_set,
+    read_edge,
+    terminal_marker,
 )
-from .provgraph import Graph, NodeRef, node_leaf_digest, terminal_marker
-from .wire import Reader, WireError, bytes_lp, flag, node_ref, optional, seq, str_lp, u8, u64
+from .provgraph import Graph, NodeRef, node_leaf_digest
+from .wire import NODE_REF, Reader, WireError, bytes_lp, flag, node_ref, optional, seq, str_lp, u8
 
 BACKWARD = "backward"
 FORWARD = "forward"
@@ -70,13 +71,8 @@ class CausalityQuery:
         return cls(ext, rel, direction)
 
 
-# u64 entity_id || TimestampKey || u8 is_terminal || u8 has_target
-_NODE_HEAD = struct.Struct(">QQIBB")
-# u8 kind || NodeRef src || NodeRef dst || u32 len(event_type)
-_EDGE_HEAD = struct.Struct(">BQQIQQII")
-# Digests are immutable, so every wire node whose digest is empty (stubs,
-# entries, childless versions) shares this one.
-_EMPTY_DIGEST = mset_empty()
+# NodeRef || u8 is_terminal || u8 has_target
+_NODE_HEAD = struct.Struct(NODE_REF.format + "BB")
 
 
 @dataclass(slots=True)
@@ -124,10 +120,9 @@ class WireNode:
 
 @dataclass(slots=True)
 class WireEdge:
-    """Edge record; the event time travels inside the destination's key.
-
-        u8 kind || NodeRef src || NodeRef dst || lp(event_type) || lp(payload)
-    """
+    """Edge record: its canonical encoding (hashcore.encode_edge), the
+    preimage the verifiers hash. The event time travels inside the
+    destination's key."""
 
     kind: str
     src_ref: NodeRef
@@ -136,33 +131,11 @@ class WireEdge:
     payload: bytes = b""
 
     def to_bytes(self) -> bytes:
-        (src_id, src_key), (dst_id, dst_key) = self.src_ref, self.dst_ref
-        event_type = self.event_type.encode("utf-8")
-        payload = self.payload
-        return b"".join((
-            _EDGE_HEAD.pack(
-                EDGE_KIND_TAGS[self.kind],
-                src_id, src_key >> 32, src_key & MAX_SEQ,
-                dst_id, dst_key >> 32, dst_key & MAX_SEQ,
-                len(event_type),
-            ),
-            event_type, len(payload).to_bytes(4, "big"), payload,  # lp(payload)
-        ))
+        return encode_edge(self, self.src_ref, self.dst_ref)
 
     @classmethod
     def read_from(cls, r: Reader) -> "WireEdge":
-        tag, src_id, src_ts, src_seq, dst_id, dst_ts, dst_seq, n = r.unpack(_EDGE_HEAD)
-        kind = EDGE_KIND_FROM_TAG.get(tag)
-        if kind is None:
-            raise WireError(f"unknown edge kind {tag}")
-        try:
-            event_type = r.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError("invalid utf-8 in an edge event type") from exc
-        return cls(
-            kind, (src_id, (src_ts << 32) | src_seq), (dst_id, (dst_ts << 32) | dst_seq),
-            event_type, r.bytes_lp(),
-        )
+        return cls(*read_edge(r))
 
 
 @dataclass(slots=True)
@@ -183,11 +156,12 @@ class PoiRecord:
         return node_leaf_digest(entity_ext, self.ref, self.pi_in_hash, self.pi_out_hash)
 
     def to_bytes(self) -> bytes:
-        return u64(self.entity_id) + self.key.to_bytes() + self.pi_in_hash + self.pi_out_hash
+        return node_ref(self.ref) + self.pi_in_hash + self.pi_out_hash
 
     @classmethod
     def read_from(cls, r: Reader) -> "PoiRecord":
-        return cls(r.u64(), TimestampKey.read_from(r), r.take(32), r.take(32))
+        entity_id, key = r.node_ref()
+        return cls(entity_id, TimestampKey.from_encoded(key), r.take(32), r.take(32))
 
 
 @dataclass(slots=True)
@@ -235,6 +209,10 @@ class AnchorEntity:
         return cls(r.str_lp(), r.seq(lambda r: r.take(32)), MultiProof.read_from(r))
 
 
+# 3: edge records are the canonical edge encoding; version 2 is refused
+_BUNDLE_VERSION = 3
+
+
 @dataclass(slots=True)
 class ProofBundle:
     query: CausalityQuery
@@ -249,7 +227,7 @@ class ProofBundle:
 
     def to_bytes(self) -> bytes:
         out = [
-            u8(2),
+            u8(_BUNDLE_VERSION),
             self.query.to_bytes(),
             bytes_lp(self.commitment.to_bytes()),
             optional(self.poi),
@@ -269,7 +247,7 @@ class ProofBundle:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProofBundle":
         r = Reader(data)
-        if r.u8() != 2:
+        if r.u8() != _BUNDLE_VERSION:
             raise WireError("unsupported bundle version")
         query = CausalityQuery.read_from(r)
         commitment = Commitment.from_bytes(r.bytes_lp())
@@ -363,7 +341,7 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
         bundle.backward_nodes = [
             WireNode(
                 n.entity_id, n.key, n.is_terminal, n.terminal_target,
-                MsetDigest(n.pi_in) if n.pi_in else _EMPTY_DIGEST,
+                MsetDigest(n.pi_in) if n.pi_in else mset_empty(),
             )
             for n in nodes
         ]
@@ -379,7 +357,7 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
                 [
                     WireNode(
                         n.entity_id, n.key, n.is_terminal, n.terminal_target,
-                        MsetDigest(n.pi_out) if n.pi_out else _EMPTY_DIGEST,
+                        MsetDigest(n.pi_out) if n.pi_out else mset_empty(),
                     )
                     for n in seg.nodes
                 ],
@@ -396,11 +374,6 @@ def analyze(graph: Graph, acc, commitment: Commitment, query: CausalityQuery) ->
 
 
 # -- validation ---------------------------------------------------------------
-
-
-_PLAIN_MARKER = terminal_marker(False, None)
-_STUB_MARKER = flag(True)  # followed by the stub's target NodeRef
-_EMPTY_DIGEST_BYTES = _EMPTY_DIGEST.to_bytes()
 
 
 def _digests_match(
@@ -434,9 +407,9 @@ def _digests_match(
                 continue
             entries = children.get(ref)
             if entries is None:
-                if pool[ref].pi.to_bytes() != _EMPTY_DIGEST_BYTES:
+                if pool[ref].pi.to_bytes() != EMPTY_DIGEST_BYTES:
                     return False
-                done[ref] = _EMPTY_DIGEST_BYTES
+                done[ref] = EMPTY_DIGEST_BYTES
             elif ref in on_path:  # its children are done: close it
                 on_path.discard(ref)
                 digest = mset_hash_set([prefixes[i] + done[kid_refs[i]] for i in entries])
@@ -455,10 +428,10 @@ def _digests_match(
                         return False
                     if child in children:
                         stack.append(child)
-                    elif pool[child].pi.to_bytes() != _EMPTY_DIGEST_BYTES:
+                    elif pool[child].pi.to_bytes() != EMPTY_DIGEST_BYTES:
                         return False  # a childless child finishes here
                     else:
-                        done[child] = _EMPTY_DIGEST_BYTES
+                        done[child] = EMPTY_DIGEST_BYTES
     return len(done) == len(pool)
 
 
@@ -489,7 +462,7 @@ def verify_backward(poi: PoiRecord, nodes: list[WireNode], edges: list[WireEdge]
         if dst not in pool or src not in pool:
             return False
         sources[dst].append(i)
-        prefixes.append(encode_edge(e, src, dst))
+        prefixes.append(e.to_bytes())
         kid_refs.append(src)
     return _digests_match(pool, sources, prefixes, kid_refs, [poi.ref])
 
@@ -549,13 +522,8 @@ def verify_forward(
         src, dst = pool.get(src_ref), pool.get(dst_ref)
         if src is None or dst is None or src.is_terminal:
             return False
-        enc = encode_edge(e, src_ref, dst_ref)
-        if dst.is_terminal:
-            enc += _STUB_MARKER + node_ref(dst.terminal_target)
-        else:
-            enc += _PLAIN_MARKER
         successors[src_ref].append(i)
-        prefixes.append(enc)
+        prefixes.append(e.to_bytes() + terminal_marker(dst.terminal_target))
         kid_refs.append(dst_ref)
     return _digests_match(pool, successors, prefixes, kid_refs, [poi.ref] + anchor_refs)
 

@@ -1,5 +1,5 @@
 """Cryptographic primitives: byte hashing, incremental multiset hashing,
-canonical edge encoding, and signatures.
+the canonical edge encoding and its terminal markers, and signatures.
 
 The byte hash is SHA3-256 (32-byte digests). The multiset hash maps each
 element through SHAKE-256 to a 4096-bit group element and combines by
@@ -30,7 +30,7 @@ from cryptography.hazmat.primitives.serialization import (
     load_pem_public_key,
 )
 
-from .wire import Reader, decode, u8
+from .wire import NODE_REF, SEQ_MASK, Reader, WireError, decode, flag, node_ref
 
 DIGEST_SIZE = 32
 
@@ -96,7 +96,7 @@ class MsetDigest:
     @classmethod
     def read_from(cls, r: Reader) -> "MsetDigest":
         raw = r.take(MSET_BYTES)
-        if raw == _EMPTY_RAW:
+        if raw == EMPTY_DIGEST_BYTES:
             return _EMPTY  # digests are immutable: every empty one is the same
         d = cls.__new__(cls)
         d._value = None
@@ -109,7 +109,7 @@ class MsetDigest:
 
 
 _EMPTY = MsetDigest(0)
-_EMPTY_RAW = _EMPTY.to_bytes()
+EMPTY_DIGEST_BYTES = _EMPTY.to_bytes()  # the empty multiset's digest, encoded
 
 
 def digest_hash(value: int) -> bytes:
@@ -154,37 +154,59 @@ def mset_hash_set(elems) -> MsetDigest:
     return MsetDigest(total & MSET_MASK)
 
 
-EDGE_KIND_TAGS = {"temporal": 0, "dependency": 1}
-EDGE_KIND_FROM_TAG = {v: k for k, v in EDGE_KIND_TAGS.items()}
-_EDGE_KIND_BYTES = {k: u8(v) for k, v in EDGE_KIND_TAGS.items()}
+_EDGE_KIND_TAGS = {"temporal": 0, "dependency": 1}
+_EDGE_KIND_FROM_TAG = {v: k for k, v in _EDGE_KIND_TAGS.items()}
 # src NodeRef || dst NodeRef || u8 kind || u32 len(event_type)
-_EDGE_HEAD = struct.Struct(">QQIQQIBI")
-_SEQ_MASK = 0xFFFFFFFF  # the seq half of an encoded TimestampKey
-
-
-def edge_kind_bytes(kind: str) -> bytes:
-    return _EDGE_KIND_BYTES[kind]
+_EDGE_HEAD = struct.Struct(">" + 2 * NODE_REF.format.lstrip(">") + "BI")
+# Terminal markers end the segment-view encoding of an edge: a plain
+# destination, or a stub followed by its target's NodeRef.
+_PLAIN_MARKER, _STUB_MARKER = flag(False), flag(True)
 
 
 def encode_edge(edge, src_ref, dst_ref) -> bytes:
-    """Canonical injective encoding of an edge between two NodeRefs.
+    """Canonical injective encoding of an edge between two NodeRefs, as
+    digests hash it and as the wire carries it:
 
-    Field order: src NodeRef, dst NodeRef, edge kind, event type, payload.
-    Fixed-width big-endian integers plus length-prefixed variable fields
-    make the encoding prefix-free over the fixed field count. The fixed
-    fields and the event type's length are one struct pack.
+        NodeRef src || NodeRef dst || u8 kind || lp(event_type) || lp(payload)
+
+    `edge` supplies kind, event_type and payload. Fixed-width big-endian
+    integers plus length-prefixed variable fields make the encoding
+    prefix-free over the fixed field count. The fixed fields and the event
+    type's length are one struct pack.
     """
     (src_id, src_key), (dst_id, dst_key) = src_ref, dst_ref
     event_type = edge.event_type.encode("utf-8")
     payload = edge.payload
     return b"".join((
         _EDGE_HEAD.pack(
-            src_id, src_key >> 32, src_key & _SEQ_MASK,
-            dst_id, dst_key >> 32, dst_key & _SEQ_MASK,
-            EDGE_KIND_TAGS[edge.kind], len(event_type),
+            src_id, src_key >> 32, src_key & SEQ_MASK,
+            dst_id, dst_key >> 32, dst_key & SEQ_MASK,
+            _EDGE_KIND_TAGS[edge.kind], len(event_type),
         ),
-        event_type, len(payload).to_bytes(4, "big"), payload,
+        event_type, len(payload).to_bytes(4, "big"), payload,  # lp(payload)
     ))
+
+
+def read_edge(r: Reader) -> tuple:
+    """Inverse of encode_edge: (kind, src_ref, dst_ref, event_type, payload)."""
+    src_id, src_ts, src_seq, dst_id, dst_ts, dst_seq, tag, n = r.unpack(_EDGE_HEAD)
+    kind = _EDGE_KIND_FROM_TAG.get(tag)
+    if kind is None:
+        raise WireError(f"unknown edge kind {tag}")
+    try:
+        event_type = r.take(n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError("invalid utf-8 in an edge event type") from exc
+    return (
+        kind, (src_id, (src_ts << 32) | src_seq), (dst_id, (dst_ts << 32) | dst_seq),
+        event_type, r.bytes_lp(),
+    )
+
+
+def terminal_marker(target) -> bytes:
+    """Suffix of a segment-view edge encoding: binds whether the
+    destination is a terminal stub, and if so its target NodeRef."""
+    return _PLAIN_MARKER if target is None else _STUB_MARKER + node_ref(target)
 
 
 class SignatureError(ValueError):

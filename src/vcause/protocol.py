@@ -321,7 +321,7 @@ def tamper(ep: CloudEndpoint, kind: str, rng) -> TamperReceipt:
         if src.created_seq > dst.created_seq:
             src, dst = dst, src
         forged = EventRecord(src.entity_ext, "forged", dst.entity_ext, dst.key.timestamp)
-        edge = graph._add_edge(DEPENDENCY, src, dst, forged, str_lp("forged") + bytes_lp(b""))
+        edge, _ = graph._add_edge(DEPENDENCY, src, dst, forged)
         dst.in_edge_ids += (edge.edge_id,)
         return TamperReceipt(
             f"added edge {edge.edge_id}", dst.entity_ext, dst.key.timestamp
@@ -401,7 +401,7 @@ def save_state(path: str, endpoint_id: str, state: EndpointState,
         seq(commitments, Commitment.to_bytes),
         seq(events, lambda e: b"".join((
             str_lp(exts[e.src_ref[0]]), str_lp(e.event_type), str_lp(exts[e.dst_ref[0]]),
-            u64(e.timestamp), bytes_lp(e.payload),
+            u64(e.dst_ref[1] >> 32), bytes_lp(e.payload),  # the event's timestamp
         ))),
     ))
     tmp = path + ".tmp"

@@ -12,8 +12,9 @@ The graph holds both digests as plain ints, the group values of
 `hashcore`'s multiset hash; `MsetDigest` exists only on the wire. Each node
 keeps its 20-byte NodeRef encoding and each edge its segment-view
 encoding, built once when the node or edge is created (and again when
-re-rooting points the edge at a stub); an edge's logical encoding is read
-back out of its segment view.
+re-rooting points the edge at a stub); an edge's logical encoding is
+rebuilt from its fields when it is read. Both encodings are
+`hashcore.encode_edge`, the layout the wire carries and the verifiers hash.
 
 In segmented mode the graph is partitioned into dependency trees: every
 temporal edge is detached onto a digest-empty terminal stub that points at
@@ -31,15 +32,20 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .accumulator import MAX_SEQ, TimestampKey
-from .hashcore import MSET_BYTES, MSET_MASK, digest_hash, edge_kind_bytes, mset_element
-from .wire import bytes_lp, flag, node_ref, optional, str_lp
-
-_NODE_ID_PACK = struct.Struct(">QQI")  # the NodeRef layout of wire.node_ref
+from .hashcore import (
+    EMPTY_DIGEST_BYTES,
+    MSET_BYTES,
+    MSET_MASK,
+    digest_hash,
+    encode_edge,
+    mset_element,
+    terminal_marker,
+)
+from .wire import NODE_REF, flag, node_ref, optional
 
 _NODE_TAG = b"vc:node\x00"
 _NLEAF_TAG = b"vc:node-leaf\x00"
@@ -50,8 +56,6 @@ UNSEGMENTED = "unsegmented"
 TEMPORAL = "temporal"
 DEPENDENCY = "dependency"
 
-_KIND_BYTES = {TEMPORAL: edge_kind_bytes(TEMPORAL), DEPENDENCY: edge_kind_bytes(DEPENDENCY)}
-
 # Terminal stubs take entity ids from their own space, the top bit of the
 # u64 id: stub N is STUB_ID_BIT | N. Real entity ids stay dense (0..N-1),
 # so the two spaces never meet and NodeRefs keep their layout.
@@ -60,14 +64,6 @@ STUB_ID_BIT = 1 << 63
 NodeRef = tuple[int, int]  # (entity_id, encoded TimestampKey)
 
 
-def terminal_marker(is_terminal: bool, target: NodeRef | None) -> bytes:
-    """Suffix binding terminal metadata into segment-view edge encodings."""
-    return optional(target if is_terminal else None, node_ref)
-
-
-_PLAIN_MARKER = terminal_marker(False, None)
-_STUB_MARKER = flag(True)  # followed by the stub's target NodeRef
-_EMPTY_DIGEST = bytes(MSET_BYTES)  # the empty digest's bytes: a child just attached
 # the node-identity tail of a non-terminal node (is_terminal 0, no target),
 # as causality.WireNode writes it
 _REAL_ID_SUFFIX = flag(False) + optional(None)
@@ -163,7 +159,7 @@ class Edge:
     over (src_ref, seg_dst_ref) followed by the segment destination's
     terminal marker. The marker makes outgoing digests bind stub metadata;
     without it a prover could flip a stub into a fake exit node unnoticed.
-    The logical encoding is read back out of the segment view."""
+    The event time is the destination key's timestamp."""
 
     edge_id: int
     kind: str  # TEMPORAL or DEPENDENCY
@@ -171,18 +167,13 @@ class Edge:
     dst_ref: NodeRef  # logical destination
     seg_dst_ref: NodeRef  # segment-view destination (terminal once detached)
     event_type: str
-    timestamp: int
     payload: bytes
     enc_seg: bytes
 
     @property
     def enc_logical(self) -> bytes:
         """hashcore.encode_edge over (src_ref, dst_ref)."""
-        seg = self.enc_seg
-        if self.seg_dst_ref == self.dst_ref:
-            return seg[:-1]  # drop the plain marker
-        # a stub's marker names its target, the logical destination
-        return seg[:20] + seg[-20:] + seg[40:-21]
+        return encode_edge(self, self.src_ref, self.dst_ref)
 
 
 @dataclass(slots=True)
@@ -205,9 +196,10 @@ def _retarget(edge: Edge, stub: VersionNode) -> None:
     """Point the edge's segment view at a stub whose target is the edge's
     logical destination: the stub's ref replaces the destination, and the
     terminal marker names the target."""
-    enc = edge.enc_seg[:-1]  # an edge is retargeted once, from its logical destination
     edge.seg_dst_ref = stub.ref
-    edge.enc_seg = enc[:20] + stub.ref_bytes + enc[40:] + _STUB_MARKER + enc[20:40]
+    edge.enc_seg = encode_edge(edge, edge.src_ref, stub.ref) + terminal_marker(
+        stub.terminal_target
+    )
 
 
 class Graph:
@@ -229,9 +221,7 @@ class Graph:
         self.last_ts = 0
         self.event_count = 0
         self._created_seq = 0
-        # instrumentation: per-attachment digest-update counts of the last event
-        self.last_event_attachments: list[int] = []
-        self.total_digest_updates = 0
+        self.total_digest_updates = 0  # instrumentation: digests touched so far
 
     def fork(self) -> "Graph":
         """Deep-enough copy for what-if replays: nodes and edges are
@@ -270,7 +260,6 @@ class Graph:
             f.dst_ref = e.dst_ref
             f.seg_dst_ref = e.seg_dst_ref
             f.event_type = e.event_type
-            f.timestamp = e.timestamp
             f.payload = e.payload
             f.enc_seg = e.enc_seg
             edges.append(f)
@@ -282,7 +271,6 @@ class Graph:
         other.last_ts = self.last_ts
         other.event_count = self.event_count
         other._created_seq = self._created_seq
-        other.last_event_attachments = list(self.last_event_attachments)
         other.total_digest_updates = self.total_digest_updates
         return other
 
@@ -307,7 +295,7 @@ class Graph:
     ) -> VersionNode:
         ref = (entity_id, (ts << 32) | seq)
         node = VersionNode(
-            entity_id, ext, ref, _NODE_ID_PACK.pack(entity_id, ts, seq), 0, 0, 0, _NO_EDGES,
+            entity_id, ext, ref, NODE_REF.pack(entity_id, ts, seq), 0, 0, 0, _NO_EDGES,
             out_edge_ids, target is not None, target, self._created_seq,
         )
         self._created_seq += 1
@@ -330,19 +318,16 @@ class Graph:
         return self._add_node(entity_id, "", ts, 0, _NO_EDGES, target.ref)
 
     def _add_edge(
-        self, kind: str, src: VersionNode, dst: VersionNode, ev: EventRecord, body: bytes
-    ) -> Edge:
-        """`body` is the event's str_lp(action) || bytes_lp(payload), the
-        tail every edge encoding of the event shares. The caller sets the
+        self, kind: str, src: VersionNode, dst: VersionNode, ev: EventRecord
+    ) -> tuple[Edge, bytes]:
+        """The new edge and its logical encoding. The caller sets the
         destination's in_edge_ids."""
-        enc = src.ref_bytes + dst.ref_bytes + _KIND_BYTES[kind] + body
-        edge = Edge(
-            len(self.edges), kind, src.ref, dst.ref, dst.ref, ev.action, ev.ts, ev.payload,
-            enc + _PLAIN_MARKER,
-        )
+        edge = Edge(len(self.edges), kind, src.ref, dst.ref, dst.ref, ev.action, ev.payload, b"")
+        enc = encode_edge(edge, src.ref, dst.ref)
+        edge.enc_seg = enc + terminal_marker(None)
         self.edges.append(edge)
         src.out_edge_ids.append(edge.edge_id)
-        return edge
+        return edge, enc
 
     def record_event(self, ev: EventRecord) -> RecordResult:
         """Apply one event: new dst version, edges, digest maintenance."""
@@ -351,7 +336,6 @@ class Graph:
             raise ClockRegression(f"timestamp {ts} below high-water mark {self.last_ts}")
         self.last_ts = ts
         self.event_count += 1
-        self.last_event_attachments = []
         created: list[VersionNode] = []
         updated: set[NodeRef] = set()
         nodes, latest = self.nodes, self.latest
@@ -380,20 +364,17 @@ class Graph:
         node = self._create_version(dst_id, ts)
         created.append(node)
 
-        body = str_lp(ev.action) + bytes_lp(ev.payload)
-        dep_edge = self._add_edge(DEPENDENCY, parent, node, ev, body)
+        dep_edge, enc = self._add_edge(DEPENDENCY, parent, node, ev)
         # incoming path digest: one element per in-edge over (logical
         # encoding, source digest)
-        pi_in = mset_element(dep_edge.enc_logical + parent.pi_in.to_bytes(MSET_BYTES, "big"))
+        pi_in = mset_element(enc + parent.pi_in.to_bytes(MSET_BYTES, "big"))
         if prev is None:
             temporal_edge = None
             node.in_edge_ids = (dep_edge.edge_id,)
         else:
-            temporal_edge = self._add_edge(TEMPORAL, prev, node, ev, body)
+            temporal_edge, enc = self._add_edge(TEMPORAL, prev, node, ev)
             node.in_edge_ids = (dep_edge.edge_id, temporal_edge.edge_id)
-            pi_in += mset_element(
-                temporal_edge.enc_logical + prev.pi_in.to_bytes(MSET_BYTES, "big")
-            )
+            pi_in += mset_element(enc + prev.pi_in.to_bytes(MSET_BYTES, "big"))
         node.pi_in = pi_in & MSET_MASK
 
         if self.mode == SEGMENTED:
@@ -411,8 +392,8 @@ class Graph:
         """Add delta to start's outgoing digest and propagate the change up
         its tree chain.
 
-        One call is one attachment batch; the touched-node count feeds the
-        per-attachment instrumentation.
+        One call is one attachment batch; it adds the nodes it touches to
+        total_digest_updates.
         """
         nodes, edges = self.nodes, self.edges
         child = start
@@ -433,13 +414,12 @@ class Graph:
             updated.add(parent.ref)
             count += 1
             child, child_old = parent, parent_old
-        self.last_event_attachments.append(count)
         self.total_digest_updates += count
 
     def _attach_seg_child(self, edge: Edge, child: VersionNode, updated: set[NodeRef]) -> None:
         """Eq-5 style attach: child (digest-empty) hangs off edge.src."""
         child.seg_parent_edge = edge.edge_id
-        elem = mset_element(edge.enc_seg + _EMPTY_DIGEST)
+        elem = mset_element(edge.enc_seg + EMPTY_DIGEST_BYTES)
         self._bump_chain(self.nodes[edge.src_ref], elem, updated)
 
     def _apply_segmentation(
@@ -479,7 +459,7 @@ class Graph:
                 _retarget(in_edge, stub)
                 stub.seg_parent_edge = in_edge.edge_id
                 grand = self.nodes[in_edge.src_ref]
-                swap = mset_element(in_edge.enc_seg + _EMPTY_DIGEST) - mset_element(
+                swap = mset_element(in_edge.enc_seg + EMPTY_DIGEST_BYTES) - mset_element(
                     old_enc + parent.pi_out.to_bytes(MSET_BYTES, "big")
                 )
                 self._bump_chain(grand, swap, updated)
@@ -530,7 +510,6 @@ class Graph:
                     pred.pi_out - mset_element(enc + old_bytes) + mset_element(enc + new_bytes)
                 ) & MSET_MASK
         updated.update(done)
-        self.last_event_attachments.append(len(done))
         self.total_digest_updates += len(done)
 
     # -- traversals ------------------------------------------------------------

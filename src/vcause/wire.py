@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import struct
 
-_REF = struct.Struct(">QQI")
+# NodeRef (entity id, encoded TimestampKey): u64 id || u64 timestamp || u32 seq
+NODE_REF = struct.Struct(">QQI")
+SEQ_MASK = 0xFFFFFFFF  # the seq half of an encoded TimestampKey
 
 
 class WireError(ValueError):
@@ -41,9 +43,8 @@ def flag(v: bool) -> bytes:
 
 
 def node_ref(r: tuple[int, int]) -> bytes:
-    """NodeRef (entity id, encoded key): u64 id || u64 timestamp || u32 seq."""
     entity_id, key = r
-    return _REF.pack(entity_id, key >> 32, key & 0xFFFFFFFF)
+    return NODE_REF.pack(entity_id, key >> 32, key & SEQ_MASK)
 
 
 _ABSENT, _PRESENT = flag(False), flag(True)
@@ -130,7 +131,7 @@ class Reader:
         return v == 1
 
     def node_ref(self) -> tuple[int, int]:
-        entity_id, timestamp, seq_no = self.unpack(_REF)
+        entity_id, timestamp, seq_no = self.unpack(NODE_REF)
         return entity_id, (timestamp << 32) | seq_no
 
     def optional(self, decode):

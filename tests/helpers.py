@@ -11,7 +11,7 @@ import hashlib
 from collections import deque
 
 from vcause import hashcore
-from vcause.provgraph import terminal_marker
+from vcause.hashcore import terminal_marker
 from vcause.wire import Reader, u128
 
 
@@ -67,6 +67,22 @@ def decode_edge(data: bytes) -> dict:
     }
     r.finish()
     return out
+
+
+def attachment_counts(graph) -> list[int]:
+    """Record the digest updates of each attachment batch of `graph`: wraps
+    its `_bump_chain` and appends the change in `total_digest_updates` over
+    each call to the returned list."""
+    counts = []
+    bump = graph._bump_chain
+
+    def recording(start, delta, updated):
+        before = graph.total_digest_updates
+        bump(start, delta, updated)
+        counts.append(graph.total_digest_updates - before)
+
+    graph._bump_chain = recording
+    return counts
 
 
 def floor_key_scan(keys, bound):
@@ -186,7 +202,7 @@ def recompute_pi_out(graph) -> dict:
                     edge = graph.edges[eid]
                     dst = graph.node(edge.seg_dst_ref)
                     enc = hashcore.encode_edge(edge, node.ref, dst.ref)
-                    enc += terminal_marker(dst.is_terminal, dst.terminal_target)
+                    enc += terminal_marker(dst.terminal_target)
                     elems.append(enc + memo[edge.seg_dst_ref].to_bytes())
                 memo[cur] = hashcore.mset_hash_set(elems)
                 continue

@@ -30,8 +30,9 @@ from vcause.hashcore import (
     mset_add,
     mset_empty,
     mset_hash_set,
+    terminal_marker,
 )
-from vcause.provgraph import STUB_ID_BIT, EventRecord, terminal_marker
+from vcause.provgraph import STUB_ID_BIT, EventRecord
 
 from .helpers import backward_reachable, build_pipeline, forward_reachable, simple_stream
 
@@ -282,7 +283,7 @@ class TestVerifyForward:
         commitment = Commitment("ep0", 1, 2, bytes(32), bytes(32), 3, b"")
 
         def claim(edge, child_pi):
-            enc = encode_edge(edge, edge.src_ref, edge.dst_ref) + terminal_marker(False, None)
+            enc = encode_edge(edge, edge.src_ref, edge.dst_ref) + terminal_marker(None)
             return mset_hash_set([enc + child_pi.to_bytes()])
 
         def verify(edges):

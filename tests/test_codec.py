@@ -19,9 +19,10 @@ from .test_accumulator import fill
 # SHA3-256 of the golden bundle and snapshot below: leaves bind the hashes
 # of both path digests, the anchor section is one global multiproof plus
 # one local multiproof per entity, the commitment signs its epoch's event
-# count, and the snapshot (version 5) stores the config, the commitments
-# and the events.
-GOLDEN_BUNDLE_SHA3 = "1df399bdbfcac4bf4b3cb5475b3c30b3e985bec60f98ee886f02eb6681c0a5fa"
+# count, the bundle (version 3) writes each edge as its canonical encoding,
+# and the snapshot (version 5) stores the config, the commitments and the
+# events.
+GOLDEN_BUNDLE_SHA3 = "644c3b6ac7f9ea2985efc85fc5274e95326508d73d85546419a31c647245ca89"
 GOLDEN_SNAPSHOT_SHA3 = "45a012f1b86aea80f3f7f2d82994a47621038f9c575185e8caa7ba563ea47e76"
 
 
@@ -152,3 +153,63 @@ def test_search_step_heights_are_canonical(honest_bundle):
     steps = proof.global_proof.steps + proof.local_proof.steps
     assert steps
     assert all(len(step.to_bytes()) == 1 + 16 + 16 + 32 for step in steps)
+
+
+class TestProofFieldsFollowTheKind:
+    """A POI or range proof carries exactly the optional fields its kind
+    uses, so a stray field is a WireError instead of a second accepted
+    encoding of the same answer (synth seed 5, 300 events, 20 entities,
+    interval 1000)."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        logger = synth_logger(seed=5, n_events=300, n_entities=20, interval=1000)
+        admin = Admin()
+        admin.register_endpoint("ep0", logger.keypair.verify_key)
+        return logger, admin
+
+    @staticmethod
+    def _answer(world, entity_ext, t):
+        logger, admin = world
+        q = CausalityQuery(entity_ext, le(t), BOTH)
+        bundle = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q)
+        assert admin.verify(q, ProofBundle.from_bytes(bundle.to_bytes())).accepted
+        return bundle
+
+    def test_member_proof_with_a_registry(self, world):
+        bundle = self._answer(world, "e3", world[0].state.graph.last_ts)
+        assert bundle.poi_proof.proof.kind == acc_mod.KIND_MEMBER
+        _assert_stray_field_refused(bundle, "registry", ["e0", "e1"])
+
+    def test_nonmember_local_proof_with_a_registry(self, world):
+        bundle = self._answer(world, "e3", 0)
+        assert bundle.poi_proof.proof.kind == acc_mod.KIND_NONMEMBER_LOCAL
+        _assert_stray_field_refused(bundle, "registry", ["e0", "e1"])
+
+    def test_nonmember_global_proof_with_a_local_proof(self, world):
+        stray = self._answer(world, "e3", 0).poi_proof.proof.local_proof
+        bundle = self._answer(world, "zz", 0)
+        assert bundle.poi_proof.proof.kind == acc_mod.KIND_NONMEMBER_GLOBAL
+        _assert_stray_field_refused(bundle, "local_proof", stray)
+
+    def test_unknown_entity_range_proof_with_a_local_range(self, world):
+        logger, _ = world
+        acc, c = logger.state.acc, logger.commitments[-1]
+        last = logger.state.graph.last_ts
+        res = acc.prove_range("zz", 0, last)
+        assert acc_mod.verify_range(c.root, "zz", 0, last, res, c.registry_digest)
+        honest = res.proof.to_bytes()
+        res.proof.local_range = acc.prove_range("e3", 0, last).proof.local_range
+        mutant = res.proof.to_bytes()
+        assert mutant != honest
+        with pytest.raises(WireError):
+            decode(mutant, RangeProof.read_from)
+
+
+def _assert_stray_field_refused(bundle, field, value):
+    honest = bundle.to_bytes()
+    setattr(bundle.poi_proof.proof, field, value)
+    mutant = bundle.to_bytes()
+    assert len(mutant) > len(honest)
+    with pytest.raises(WireError):
+        ProofBundle.from_bytes(mutant)

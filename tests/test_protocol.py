@@ -36,6 +36,13 @@ def le(t):
     return Relation(acc_mod.REL_LE, t)
 
 
+def _swap_event_times(a, b):
+    """Swap the timestamps save_state writes for two events: each event's
+    time is its dependency edge's destination key."""
+    (a_id, a_key), (b_id, b_key) = a.dst_ref, b.dst_ref
+    a.dst_ref, b.dst_ref = (a_id, b_key), (b_id, a_key)
+
+
 def make_logger(interval=1000, mode="segmented", depth=1, endpoint="ep0"):
     return EndpointLogger(endpoint, KeyPair.generate(), StateConfig(mode, depth, interval))
 
@@ -317,7 +324,7 @@ class TestReplayRules:
         with pytest.raises(RootMismatch, match="high-water mark"):
             Cloud().replay("ep0", broken, logger.commitments, logger.state.config)
         edges = [e for e in logger.state.graph.edges if e.kind == "dependency"]
-        edges[i].timestamp, edges[i + 1].timestamp = edges[i + 1].timestamp, edges[i].timestamp
+        _swap_event_times(edges[i], edges[i + 1])
         with pytest.raises(WireError, match="high-water mark"):
             self._load(tmp_path, logger)
 
@@ -480,8 +487,8 @@ class TestSnapshots:
     def test_clock_regression_in_stored_events_is_wire_error(self, tmp_path):
         logger, path = self._saved(tmp_path)
         edges = [e for e in logger.state.graph.edges if e.kind == "dependency"]
-        assert edges[0].timestamp < edges[-1].timestamp
-        edges[0].timestamp, edges[-1].timestamp = edges[-1].timestamp, edges[0].timestamp
+        assert edges[0].dst_ref[1] < edges[-1].dst_ref[1]
+        _swap_event_times(edges[0], edges[-1])
         save_state(str(path), "ep0", logger.state, logger.commitments)
         with pytest.raises(WireError, match="timestamp"):
             load_state(str(path), logger.keypair.verify_key)

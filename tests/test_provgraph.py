@@ -14,11 +14,11 @@ from vcause.provgraph import (
     EventRecord,
     Graph,
     UnknownNode,
-    terminal_marker,
 )
 from vcause.wire import node_ref
 
 from .helpers import (
+    attachment_counts,
     backward_reachable,
     flatten_forward,
     forward_reachable,
@@ -26,6 +26,7 @@ from .helpers import (
     recompute_pi_out,
     tree_root,
 )
+from .test_record_codecs import _preimage_layout
 
 
 def ev(src, action, dst, ts):
@@ -145,17 +146,26 @@ class TestCachedEncodings:
 
     @staticmethod
     def _assert_canonical(g):
+        """Both edge encodings are hashcore's edge encoding (checked against
+        the field-by-field preimage layout), the segment view's followed by
+        hashcore's terminal marker of its destination."""
         for ref, node in g.nodes.items():
             assert node.ref == ref and node.ref_bytes == node_ref(ref)
         for edge in g.edges:
             assert edge.enc_logical == hashcore.encode_edge(edge, edge.src_ref, edge.dst_ref)
+            assert edge.enc_logical == _preimage_layout(edge)
             dst = g.nodes[edge.seg_dst_ref]
             assert edge.enc_seg == hashcore.encode_edge(
                 edge, edge.src_ref, edge.seg_dst_ref
-            ) + terminal_marker(dst.is_terminal, dst.terminal_target)
+            ) + hashcore.terminal_marker(dst.terminal_target)
+            if dst.is_terminal:  # a stub's marker names the logical destination
+                assert dst.terminal_target == edge.dst_ref
+            else:
+                assert edge.enc_seg == edge.enc_logical + hashcore.terminal_marker(None)
 
     @pytest.mark.parametrize("mode,depth", [
-        (SEGMENTED, 1), (SEGMENTED, 2), (SEGMENTED, 3), (UNSEGMENTED, 1),
+        (SEGMENTED, 1), (SEGMENTED, 2), (SEGMENTED, 3),
+        (UNSEGMENTED, 1), (UNSEGMENTED, 2), (UNSEGMENTED, 3),
     ])
     def test_caches_match_the_canonical_encoders(self, mode, depth):
         g = self._graph(mode, depth)
@@ -207,7 +217,7 @@ class TestUnsegmentedPiOut:
         g = Graph(mode=UNSEGMENTED)
         res = g.record_event(ev(1, "w", 2, 5))
         # the new node's only predecessor is the freshly created entry
-        assert g.last_event_attachments == [1]
+        assert g.total_digest_updates == 1
         assert res.updated == set()  # entry is itself newly created
 
     def test_fig6_affected_set(self):
@@ -313,9 +323,11 @@ class TestSegmentation:
         rng = random.Random(12)
         for depth in (1, 2):
             g = Graph(mode=SEGMENTED, depth=depth)
+            counts = attachment_counts(g)
             for e in random_stream(rng, 2000, 25):
+                counts.clear()
                 g.record_event(e)
-                assert max(g.last_event_attachments) <= depth + 1
+                assert counts and max(counts) <= depth + 1
 
     def test_terminal_digest_stays_empty(self):
         rng = random.Random(13)

@@ -1,7 +1,8 @@
-"""Component record codecs: the struct-packed WireNode, WireEdge, edge
-preimage and multiproof encodings equal their documented field-by-field
-layouts; their decoders are strict and total; and the verifiers build every
-preimage from a record's current fields, not from what was parsed."""
+"""Component record codecs: the struct-packed WireNode, WireEdge (the edge
+preimage itself) and multiproof encodings equal their documented
+field-by-field layouts; their decoders are strict and total; and the
+verifiers build every preimage from a record's current fields, not from
+what was parsed."""
 
 import pytest
 
@@ -61,13 +62,6 @@ def _node_layout(n: WireNode) -> bytes:
     )
 
 
-def _edge_layout(e: WireEdge) -> bytes:
-    return (
-        u8(_KIND_TAGS[e.kind]) + node_ref(e.src_ref) + node_ref(e.dst_ref)
-        + str_lp(e.event_type) + bytes_lp(e.payload)
-    )
-
-
 def _preimage_layout(e: WireEdge) -> bytes:
     return (
         node_ref(e.src_ref) + node_ref(e.dst_ref) + u8(_KIND_TAGS[e.kind])
@@ -104,16 +98,20 @@ def test_struct_codecs_equal_documented_layouts(mode, depth):
             seen_terminal |= n.is_terminal
         for e in edges:
             blob = e.to_bytes()
-            assert blob == _edge_layout(e)
+            assert blob == _preimage_layout(e)
             assert decode(blob, WireEdge.read_from) == e
-            assert encode_edge(e, e.src_ref, e.dst_ref) == _preimage_layout(e)
+            assert encode_edge(e, e.src_ref, e.dst_ref) == blob
         for proof in proofs:
             blob = proof.to_bytes()
             again = decode(blob, MultiProof.read_from)
             assert again.nodes == proof.nodes and again.to_bytes() == blob
             seen_proof = True
         blob = bundle.to_bytes()
-        assert ProofBundle.from_bytes(blob).to_bytes() == blob
+        parsed = ProofBundle.from_bytes(blob)
+        assert parsed.to_bytes() == blob
+        # the wire edge is the preimage the verifiers hash
+        _, parsed_edges, _ = _records(parsed)
+        assert [e.to_bytes() for e in parsed_edges] == [_preimage_layout(e) for e in edges]
     # only segmented answers have stubs, and anchors with multiproofs
     assert seen_terminal == seen_proof == (mode == "segmented")
 
@@ -186,9 +184,10 @@ def test_bad_flags_kinds_and_event_types_are_wire_errors(small_both, monkeypatch
         edits.append((start + 20, 0 if node.is_terminal else 1))
         edits.append((start + 21, 0 if node.is_terminal else 1))
     for start, edge in found["edge"]:
-        edits += [(start, 2), (start, 0xFF)]  # unknown edge kinds
+        kind_at = start + 20 + 20  # after the two NodeRefs
+        edits += [(kind_at, 2), (kind_at, 0xFF)]  # unknown edge kinds
         assert edge.event_type
-        edits.append((start + 1 + 20 + 20 + 4, 0xFF))  # not UTF-8
+        edits.append((kind_at + 1 + 4, 0xFF))  # not UTF-8
     for start, proof in found["proof"]:
         edits += [(at, 2) for at in _proof_flag_offsets(start, proof)]
     assert len(found["node"]) > 10 and len(found["proof"]) >= 2
@@ -196,6 +195,25 @@ def test_bad_flags_kinds_and_event_types_are_wire_errors(small_both, monkeypatch
         assert blob[at] != byte
         with pytest.raises(WireError):
             ProofBundle.from_bytes(_edited(blob, at, byte))
+
+
+def version_2_bytes(blob: bytes, monkeypatch) -> bytes:
+    """The same answer in bundle version 2, which wrote each edge's kind
+    byte before its two NodeRefs: equal length, other bytes equal."""
+    out = bytearray(blob)
+    out[0] = 2
+    for start, _ in _offsets(blob, monkeypatch)["edge"]:
+        out[start:start + 41] = blob[start + 40:start + 41] + blob[start:start + 40]
+    return bytes(out)
+
+
+def test_version_2_bundle_is_a_wire_error(small_both, monkeypatch):
+    _, blob, _ = small_both
+    assert blob[0] == 3
+    old = version_2_bytes(blob, monkeypatch)
+    assert len(old) == len(blob) and old != blob
+    with pytest.raises(WireError, match="unsupported bundle version"):
+        ProofBundle.from_bytes(old)
 
 
 def test_backward_node_with_a_target_is_refused(small_both):
