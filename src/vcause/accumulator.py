@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import dimtree
 from .dimtree import DimTree, LeafRecord, MultiProof, RangeSearchResult, SearchProof
 from .hashcore import hash_bytes
-from .wire import SEQ_MASK, Reader, WireError, decode, flag, optional, seq, str_lp, u8, u64, u128
+from .wire import SEQ_MASK, Reader, WireError, seq, str_lp, u8, u64, u128
 
 _GLOBAL_LEAF_TAG = b"vc:global-leaf\x00"
 _REGISTRY_TAG = b"vc:registry\x00"
@@ -31,13 +31,6 @@ _REGISTRY_TAG = b"vc:registry\x00"
 MAX_SEQ = SEQ_MASK  # a key's seq fills the seq half of its encoding
 
 _KEY_PACK = struct.Struct(">QI")
-
-KIND_MEMBER = "member"
-KIND_NONMEMBER_GLOBAL = "nonmember_global"
-KIND_NONMEMBER_LOCAL = "nonmember_local"
-
-_KIND_TAGS = {KIND_MEMBER: 0, KIND_NONMEMBER_GLOBAL: 1, KIND_NONMEMBER_LOCAL: 2}
-_KIND_FROM_TAG = {v: k for k, v in _KIND_TAGS.items()}
 
 REL_LE = "le"  # nearest timestamp <= t (ties resolve to the latest seq)
 REL_GE = "ge"  # nearest timestamp >= t (ties resolve to the earliest seq)
@@ -136,128 +129,76 @@ def read_registry(r: Reader) -> list[str]:
     return r.seq(Reader.str_lp)
 
 
-def _search_tail(internal_id, global_proof, local, registry) -> bytes:
-    """Fields NodeProof and RangeProof share: the internal id (0 for an
-    unknown entity), the optional global search proof, the optional local
-    proof and the optional registry snapshot."""
-    return b"".join((
-        u64(internal_id or 0),
-        optional(global_proof),
-        optional(local),
-        optional(registry, registry_bytes),
-    ))
-
-
-def _read_search_tail(r: Reader, read_local) -> tuple:
-    """Inverse of _search_tail. Every proof carries a global proof and
-    exactly one of a local proof and a registry; the registry marks an
-    unknown entity, whose internal id travels as 0, and only as 0. So one
-    answer has one accepted encoding."""
-    internal_id = r.u64()
-    gp = r.optional(SearchProof.read_from)
-    local = r.optional(read_local)
-    registry = r.optional(read_registry)
-    if gp is None or (local is None) == (registry is None):
-        raise WireError("a proof carries a global proof and a local proof or a registry")
-    if registry is None:
-        return internal_id, gp, local, None
-    if internal_id != 0:
-        raise WireError("internal id on an unknown-entity proof")
-    return None, gp, None, registry
-
-
 @dataclass(slots=True)
-class NodeProof:
-    """Evidence for a single-node query outcome.
+class EntityProof:
+    """Evidence for a query about one entity's versions.
 
-    member / nonmember_local carry both a global and a local path, and no
-    registry; nonmember_global carries the committed registry snapshot plus
-    a global absence path for the next dense internal id, and no local path.
+    The global proof is the entity's membership path under its internal id
+    with a local proof of the query's outcome (a point search or a range),
+    or, for an entity unknown at the commitment, the absence path of the
+    next dense id with the committed registry snapshot. Whether an answer
+    is a member, a local miss or an unknown entity follows from these
+    fields, so one answer has one encoding.
     """
 
-    kind: str
-    entity_ext: str
-    internal_id: int | None
-    global_proof: SearchProof | None
-    local_proof: SearchProof | None
-    registry: list[str] | None = None
+    global_proof: SearchProof
+    internal_id: int | None  # None for an unknown entity
+    local_proof: SearchProof | RangeSearchResult | None
+    registry: list[str] | None = None  # set when the entity itself is unknown
 
     def to_bytes(self) -> bytes:
-        return (
-            u8(1)
-            + u8(_KIND_TAGS[self.kind])
-            + str_lp(self.entity_ext)
-            + _search_tail(self.internal_id, self.global_proof, self.local_proof, self.registry)
-        )
+        gp = self.global_proof.to_bytes()
+        if self.registry is not None:
+            return gp + u8(1) + registry_bytes(self.registry)
+        return gp + u8(0) + u64(self.internal_id) + self.local_proof.to_bytes()
 
     @classmethod
-    def read_from(cls, r: Reader) -> "NodeProof":
-        if r.u8() != 1:
-            raise WireError("unsupported node proof version")
-        kind = _KIND_FROM_TAG.get(r.u8())
-        if kind is None:
-            raise WireError("unknown proof kind")
-        entity_ext = r.str_lp()
-        internal_id, gp, lp, registry = _read_search_tail(r, SearchProof.read_from)
-        if (registry is not None) != (kind == KIND_NONMEMBER_GLOBAL):
-            raise WireError("a registry travels with, and only with, a nonmember_global proof")
-        return cls(kind, entity_ext, internal_id, gp, lp, registry)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "NodeProof":
-        return decode(data, cls.read_from)
+    def read_from(cls, r: Reader, read_local) -> "EntityProof":
+        gp = SearchProof.read_from(r)
+        if r.flag():
+            return cls(gp, None, None, read_registry(r))
+        return cls(gp, r.u64(), read_local(r))
 
 
 @dataclass(slots=True)
 class NodeProofResult:
-    found: bool
-    node_key: TimestampKey | None
-    proof: NodeProof
+    """A point query's answer: found and the node key follow from the
+    local search proof."""
+
+    proof: EntityProof
+
+    @property
+    def found(self) -> bool:
+        lp = self.proof.local_proof
+        return lp is not None and lp.found
+
+    @property
+    def node_key(self) -> TimestampKey | None:
+        return TimestampKey.from_encoded(self.proof.local_proof.leaf.key) if self.found else None
 
     def to_bytes(self) -> bytes:
-        out = [flag(self.found)]
-        if self.found:
-            out.append(self.node_key.to_bytes())
-        out.append(self.proof.to_bytes())
-        return b"".join(out)
+        return self.proof.to_bytes()
 
     @classmethod
     def read_from(cls, r: Reader) -> "NodeProofResult":
-        found = r.flag()
-        key = TimestampKey.read_from(r) if found else None
-        return cls(found, key, NodeProof.read_from(r))
-
-
-@dataclass(slots=True)
-class RangeProof:
-    """A global path plus either the local range search (known entity) or
-    the registry snapshot (unknown entity)."""
-
-    entity_ext: str
-    internal_id: int | None
-    global_proof: SearchProof | None
-    local_range: RangeSearchResult | None
-    registry: list[str] | None = None  # set when the entity itself is unknown
-
-    def to_bytes(self) -> bytes:
-        return (
-            u8(1)
-            + str_lp(self.entity_ext)
-            + _search_tail(self.internal_id, self.global_proof, self.local_range, self.registry)
-        )
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "RangeProof":
-        if r.u8() != 1:
-            raise WireError("unsupported range proof version")
-        return cls(r.str_lp(), *_read_search_tail(r, RangeSearchResult.read_from))
+        return cls(EntityProof.read_from(r, SearchProof.read_from))
 
 
 @dataclass(slots=True)
 class RangeResult:
-    found: bool
-    leaves: list[LeafRecord]
-    proof: RangeProof
+    """A range query's answer: found and the leaves follow from the local
+    range proof."""
+
+    proof: EntityProof
+
+    @property
+    def found(self) -> bool:
+        local = self.proof.local_proof
+        return local is not None and local.found
+
+    @property
+    def leaves(self) -> list[LeafRecord]:
+        return self.proof.local_proof.leaves if self.found else []
 
 
 class Accumulator:
@@ -367,47 +308,27 @@ class Accumulator:
             return None
         return internal
 
-    def prove_node(self, entity_ext: str, relation: Relation) -> NodeProofResult:
+    def _prove_entity(self, entity_ext: str, prove_local) -> EntityProof:
         if not self.global_tree.finalized:
             raise NotCommitted("commit() has not run")
         internal = self._committed_id(entity_ext)
         if internal is None:
             # absence of the next dense id doubles as a tree-bounds proof
             gp = self.global_tree.search_exact(len(self.global_tree))
-            proof = NodeProof(
-                KIND_NONMEMBER_GLOBAL, entity_ext, None, gp, None,
-                registry=self.committed_registry(),
-            )
-            return NodeProofResult(False, None, proof)
+            return EntityProof(gp, None, None, self.committed_registry())
         gp = self.global_tree.search_exact(internal)
+        return EntityProof(gp, internal, prove_local(self.locals[internal]))
+
+    def prove_node(self, entity_ext: str, relation: Relation) -> NodeProofResult:
         op, bound = relation.local_bound()
-        lp = self.locals[internal].search(op, bound)
-        kind = KIND_MEMBER if lp.found else KIND_NONMEMBER_LOCAL
-        key = TimestampKey.from_encoded(lp.leaf.key) if lp.found else None
-        return NodeProofResult(
-            lp.found, key, NodeProof(kind, entity_ext, internal, gp, lp)
-        )
+        return NodeProofResult(self._prove_entity(entity_ext, lambda tree: tree.search(op, bound)))
 
     def prove_range(self, entity_ext: str, a: int, b: int) -> RangeResult:
-        if not self.global_tree.finalized:
-            raise NotCommitted("commit() has not run")
         if a > b:
             raise ValueError("invalid range: a > b")
-        internal = self._committed_id(entity_ext)
-        if internal is None:
-            gp = self.global_tree.search_exact(len(self.global_tree))
-            return RangeResult(
-                False, [],
-                RangeProof(entity_ext, None, gp, None, registry=self.committed_registry()),
-            )
-        gp = self.global_tree.search_exact(internal)
         lo = TimestampKey(a, 0).encoded()
         hi = TimestampKey(b, MAX_SEQ).encoded()
-        local = self.locals[internal].range_search(lo, hi)
-        return RangeResult(
-            local.found, list(local.leaves) if local.found else [],
-            RangeProof(entity_ext, internal, gp, local),
-        )
+        return RangeResult(self._prove_entity(entity_ext, lambda tree: tree.range_search(lo, hi)))
 
     def prove_members(self, keys: dict[int, list[int]]) -> tuple[MultiProof, list[MultiProof]]:
         """Membership of committed leaves, given as {internal id: keys}: one
@@ -424,31 +345,33 @@ class Accumulator:
 # -- verification (pure, snapshot-free) --------------------------------------
 
 
-def _verify_global_member(
-    root: bytes, entity_ext: str, internal_id: int, local_root: bytes, gp: SearchProof
+def _verify_entity(
+    root: bytes, entity_ext: str, proof: EntityProof, local_root_of, registry_digest
 ) -> bool:
-    """The global path must tie (entity_ext, local_root) to the root."""
-    if not gp.found or gp.leaf is None:
-        return False
-    if gp.leaf.key != internal_id:
-        return False
-    if gp.leaf.payload != global_leaf_digest(entity_ext, local_root):
-        return False
-    return dimtree.verify_path(root, dimtree.REL_EXACT, internal_id, gp)
-
-
-def _verify_unknown(root: bytes, entity_ext: str, proof, registry_digest) -> bool:
-    """Unknown entity: the shipped registry hashes to the signed digest and
-    omits entity_ext, and the next dense id is absent from the global tree."""
-    return (
-        proof.registry is not None
-        and proof.global_proof is not None
-        and registry_digest is not None
-        and registry_digest_of(proof.registry) == registry_digest
-        and entity_ext not in proof.registry
-        and dimtree.verify_path(
-            root, dimtree.REL_EXACT, len(proof.registry), proof.global_proof
+    """An unknown entity: the shipped registry hashes to the signed digest
+    and omits entity_ext, and the next dense id is absent from the global
+    tree. A committed entity: the local proof rebuilds a local root (None
+    if the proof is invalid), and the global path ties (entity_ext, local
+    root) to the root under the entity's internal id."""
+    gp = proof.global_proof
+    if proof.registry is not None:
+        return (
+            proof.internal_id is None
+            and proof.local_proof is None
+            and registry_digest is not None
+            and registry_digest_of(proof.registry) == registry_digest
+            and entity_ext not in proof.registry
+            and dimtree.verify_path(root, dimtree.REL_EXACT, len(proof.registry), gp)
         )
+    if proof.local_proof is None:
+        return False
+    local_root = local_root_of(proof.local_proof)
+    if local_root is None or not gp.found or gp.leaf is None:
+        return False
+    return (
+        gp.leaf.key == proof.internal_id
+        and gp.leaf.payload == global_leaf_digest(entity_ext, local_root)
+        and dimtree.verify_path(root, dimtree.REL_EXACT, proof.internal_id, gp)
     )
 
 
@@ -464,35 +387,10 @@ def verify_node(
     registry_digest (from the signed commitment) is required only to check
     unknown-entity non-membership.
     """
-    proof = result.proof
-    if proof.entity_ext != entity_ext:
-        return False
     op, bound = relation.local_bound()
-
-    if proof.kind == KIND_NONMEMBER_GLOBAL:
-        return not result.found and _verify_unknown(root, entity_ext, proof, registry_digest)
-
-    if proof.global_proof is None or proof.local_proof is None:
-        return False
-    lp = proof.local_proof
-
-    if proof.kind == KIND_MEMBER:
-        if not result.found or not lp.found or lp.leaf is None:
-            return False
-        if result.node_key is None or result.node_key.encoded() != lp.leaf.key:
-            return False
-    elif proof.kind == KIND_NONMEMBER_LOCAL:
-        if result.found or lp.found:
-            return False
-    else:
-        return False
-
-    # reconstruct the local root from the local path, then tie it globally
-    local_root = dimtree.reconstruct_path(op, bound, lp)
-    if local_root is None:
-        return False
-    return _verify_global_member(
-        root, entity_ext, proof.internal_id, local_root, proof.global_proof
+    return _verify_entity(
+        root, entity_ext, result.proof,
+        lambda lp: dimtree.reconstruct_path(op, bound, lp), registry_digest,
     )
 
 
@@ -506,25 +404,11 @@ def verify_range(
 ) -> bool:
     if a > b:
         return False
-    proof = result.proof
-    if proof.entity_ext != entity_ext:
-        return False
-    if proof.registry is not None:
-        return not (result.found or result.leaves) and _verify_unknown(
-            root, entity_ext, proof, registry_digest
-        )
-    local = proof.local_range
-    if local is None or proof.global_proof is None:
-        return False
-    if result.found != local.found or result.leaves != (local.leaves if local.found else []):
-        return False
     lo = TimestampKey(a, 0).encoded()
     hi = TimestampKey(b, MAX_SEQ).encoded()
-    local_root = dimtree.reconstruct_range(lo, hi, local)
-    if local_root is None:
-        return False
-    return _verify_global_member(
-        root, entity_ext, proof.internal_id, local_root, proof.global_proof
+    return _verify_entity(
+        root, entity_ext, result.proof,
+        lambda local: dimtree.reconstruct_range(lo, hi, local), registry_digest,
     )
 
 

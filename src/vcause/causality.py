@@ -209,8 +209,9 @@ class AnchorEntity:
         return cls(r.str_lp(), r.seq(lambda r: r.take(32)), MultiProof.read_from(r))
 
 
-# 3: edge records are the canonical edge encoding; version 2 is refused
-_BUNDLE_VERSION = 3
+# 4: the POI proof is an EntityProof with no kind tag, found flag, node key
+# or entity copy; version 3 is refused
+_BUNDLE_VERSION = 4
 
 
 @dataclass(slots=True)
@@ -572,7 +573,7 @@ def verify_bundle(vk, query: CausalityQuery, bundle: ProofBundle) -> VerifyRepor
     root = bundle.commitment.root
 
     if bundle.poi is None:
-        ok = bundle.poi_proof.found is False and acc_mod.verify_node(
+        ok = not bundle.poi_proof.found and acc_mod.verify_node(
             root,
             query.entity_ext,
             query.relation,
@@ -632,15 +633,14 @@ def verify_bundle(vk, query: CausalityQuery, bundle: ProofBundle) -> VerifyRepor
 
 
 def _verify_poi(root: bytes, query: CausalityQuery, bundle: ProofBundle) -> bool:
-    res = bundle.poi_proof
-    poi = bundle.poi
-    if not res.found or res.node_key is None:
+    """The POI proof must prove a member under the root whose leaf is the
+    POI record's."""
+    res, poi = bundle.poi_proof, bundle.poi
+    if not res.found or not acc_mod.verify_node(root, query.entity_ext, query.relation, res):
         return False
-    if res.node_key != poi.key or res.proof.internal_id != poi.entity_id:
-        return False
-    lp = res.proof.local_proof
-    if lp is None or not lp.found or lp.leaf is None:
-        return False
-    if lp.leaf.payload != poi.leaf_digest(query.entity_ext):
-        return False
-    return acc_mod.verify_node(root, query.entity_ext, query.relation, res)
+    leaf = res.proof.local_proof.leaf
+    return (
+        leaf.key == poi.key.encoded()
+        and res.proof.internal_id == poi.entity_id
+        and leaf.payload == poi.leaf_digest(query.entity_ext)
+    )

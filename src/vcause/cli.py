@@ -191,6 +191,10 @@ def _emit_commitment(cli, c, note: str = "") -> None:
 @click.pass_obj
 def ingest_cmd(cli, log, mode, depth, interval, endpoint_id, lenient):
     """Ingest a JSONL event log: record, commit periodically, persist state."""
+    snap = cli.path("state.bin")
+    if os.path.exists(snap):
+        # a second ingest would sign a second, different epoch 1 with the same key
+        raise click.ClickException(f"{snap} already holds an ingested state; use a new state dir")
     os.makedirs(cli.state_dir, exist_ok=True)
     kp = _load_or_create_keys(cli)
     config = protocol.StateConfig(mode, depth, interval)

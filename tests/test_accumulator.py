@@ -205,7 +205,7 @@ class TestNodeProofs:
         acc = self._committed()
         res = acc.prove_node("nope", le(100))
         assert not res.found
-        assert res.proof.kind == acc_mod.KIND_NONMEMBER_GLOBAL
+        assert res.proof.registry is not None and res.proof.local_proof is None
         assert verify_node(
             acc.committed_root, "nope", le(100), res, registry_digest=acc.registry_digest()
         )
@@ -219,7 +219,7 @@ class TestNodeProofs:
         acc = self._committed()
         res = acc.prove_node("sock:443", ge(5))
         assert not res.found
-        assert res.proof.kind == acc_mod.KIND_NONMEMBER_LOCAL
+        assert res.proof.registry is None and res.proof.local_proof is not None
         assert verify_node(acc.committed_root, "sock:443", ge(5), res)
 
     def test_exact_key_relation(self):
@@ -274,10 +274,11 @@ class TestAdversarialNodeProofs:
         acc = self._two_entities()
         ra = acc.prove_node("a", le(3))
         rb = acc.prove_node("b", le(3))
-        forged = NodeProofResult(True, ra.node_key, ra.proof)
+        # a's proof answers a query about b: the global leaf binds "a"
+        assert not verify_node(acc.committed_root, "b", le(3), ra)
+        forged = NodeProofResult(ra.proof)
         forged.proof.local_proof = rb.proof.local_proof  # same bytes, still fine
-        # now claim a's local result under b's identity
-        forged.proof.entity_ext = "b"
+        # now claim a's global path under b's identity
         forged.proof.internal_id = acc.registry["b"]
         assert not verify_node(acc.committed_root, "b", le(3), forged)
 
@@ -287,7 +288,7 @@ class TestAdversarialNodeProofs:
         acc = self._two_entities()
         honest_miss = acc.prove_node("a", ge(6))  # genuinely empty
         assert not honest_miss.found
-        forged = NodeProofResult(False, None, honest_miss.proof)
+        forged = NodeProofResult(honest_miss.proof)
         assert not verify_node(acc.committed_root, "a", ge(4), forged)
 
     def test_stale_root_rejected(self):
@@ -372,8 +373,7 @@ class TestRangeProofs:
         acc, keys = self._acc()
         res = acc.prove_range("main", 1, keys[-1].timestamp - 1)
         assert len(res.leaves) > 3
-        res.leaves.pop(1)
-        res.proof.local_range.leaves.pop(1)
+        res.proof.local_proof.leaves.pop(1)
         assert not verify_range(acc.committed_root, "main", 1, keys[-1].timestamp - 1, res)
 
     def test_point_range_equals_single_node(self):

@@ -5,7 +5,10 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from vcause import dimtree, protocol
+from vcause.accumulator import REL_GE, Relation
 from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze
 from vcause.hashcore import KeyPair
 from vcause.ingest import SynthConfig, synth
@@ -90,6 +93,28 @@ def test_tamper_controls_reject_every_mutant_of_a_forward_bundle():
     q = CausalityQuery("e3", le(logger.state.graph.last_ts // 2), BOTH)
     bundle = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q)
     assert bundle.root_proofs and bundle.anchor_global is not None
+    data = bundle.to_bytes()
+    admin = Admin()
+    admin.register_endpoint("ep0", logger.keypair.verify_key)
+    assert admin.verify(q, ProofBundle.from_bytes(data)).accepted
+    mutants = tamper.mutants(data, logger.commitments[-2], random.Random(1))
+    assert [kind for kind, _ in mutants] == ["flip-digest", "drop-edge", "stale-commitment"]
+    accepted = [kind for kind, mutant in mutants if admin.verify(q, mutant).accepted]
+    assert accepted == []
+
+
+@pytest.mark.parametrize("entity_ext", ["zz", "e3"], ids=["unknown-entity", "ge-past-last"])
+def test_tamper_controls_reject_every_mutant_of_an_empty_answer(entity_ext):
+    """An answer without components sends flip-digest to a search-path
+    hash (the absence terminus when no path has steps), and drop-edge to
+    the shipped registry (unknown entity) or a search-path step (local
+    miss): the fallbacks read the POI proof's global_proof, local_proof,
+    steps, terminus and registry."""
+    logger = synth_logger(seed=5, n_events=40, n_entities=5, interval=20)
+    q = CausalityQuery(entity_ext, Relation(REL_GE, logger.state.graph.last_ts + 1), BOTH)
+    bundle = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q)
+    assert bundle.poi is None
+    assert (bundle.poi_proof.proof.registry is not None) == (entity_ext == "zz")
     data = bundle.to_bytes()
     admin = Admin()
     admin.register_endpoint("ep0", logger.keypair.verify_key)

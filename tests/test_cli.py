@@ -65,6 +65,22 @@ class TestIngest:
         assert (state / "state.bin").exists()
         assert (state / "commitments.jsonl").exists()
 
+    def test_second_ingest_into_one_state_dir_is_refused(self, runner, tmp_path):
+        """A second ingest would sign a second, different epoch 1 with the
+        same key and drop the earlier state."""
+        state = tmp_path / "state"
+        first = self._gen(runner, tmp_path, events=300, seed=1)
+        assert run(runner, ["-s", str(state), "ingest", str(first)]).exit_code == 0
+        snap = (state / "state.bin").read_bytes()
+        log = (state / "commitments.jsonl").read_bytes()
+        second = tmp_path / "second.jsonl"
+        run(runner, ["gen", "--seed", "2", "--events", "200", "--out", str(second)])
+        res = runner.invoke(main, ["-s", str(state), "ingest", str(second)])
+        assert res.exit_code != 0
+        assert "state.bin" in res.output
+        assert (state / "state.bin").read_bytes() == snap
+        assert (state / "commitments.jsonl").read_bytes() == log
+
     def test_reingest_same_root(self, runner, tmp_path):
         log = self._gen(runner, tmp_path)
         r1 = run(runner, ["-s", str(tmp_path / "s1"), "--format", "json",

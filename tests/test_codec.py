@@ -7,8 +7,9 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from vcause import accumulator as acc_mod
-from vcause.accumulator import Accumulator, NodeProof, RangeProof, Relation
+from vcause.accumulator import Accumulator, EntityProof, Relation, verify_node, verify_range
 from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze
+from vcause.dimtree import RangeSearchResult, SearchProof
 from vcause.hashcore import KeyPair
 from vcause.ingest import SynthConfig, synth
 from vcause.protocol import Admin, EndpointLogger, StateConfig, save_state
@@ -19,10 +20,11 @@ from .test_accumulator import fill
 # SHA3-256 of the golden bundle and snapshot below: leaves bind the hashes
 # of both path digests, the anchor section is one global multiproof plus
 # one local multiproof per entity, the commitment signs its epoch's event
-# count, the bundle (version 3) writes each edge as its canonical encoding,
-# and the snapshot (version 5) stores the config, the commitments and the
+# count, the bundle (version 4) writes each edge as its canonical encoding
+# and the POI proof as an entity proof without derivable fields, and the
+# snapshot (version 5) stores the config, the commitments and the
 # events.
-GOLDEN_BUNDLE_SHA3 = "644c3b6ac7f9ea2985efc85fc5274e95326508d73d85546419a31c647245ca89"
+GOLDEN_BUNDLE_SHA3 = "1d732d132057e1fc0ea8a948d1a22538bb36819e802afda9c665b8f1299a7eea"
 GOLDEN_SNAPSHOT_SHA3 = "45a012f1b86aea80f3f7f2d82994a47621038f9c575185e8caa7ba563ea47e76"
 
 
@@ -65,7 +67,18 @@ class TestPrimitives:
             decode(b"\x02" + node_ref((1, 2)), lambda r: r.optional(Reader.node_ref))
 
 
+def _read_node_proof(r: Reader) -> EntityProof:
+    return EntityProof.read_from(r, SearchProof.read_from)
+
+
+def _read_range_proof(r: Reader) -> EntityProof:
+    return EntityProof.read_from(r, RangeSearchResult.read_from)
+
+
 class TestUnknownEntityIds:
+    """An unknown-entity proof has no internal-id field: an id set on the
+    object changes no byte, and the verifier refuses the object."""
+
     def _acc(self):
         acc = fill(Accumulator(), {"a": [(1, 0), (2, 0)], "b": [(3, 0)]})
         acc.commit()
@@ -73,28 +86,34 @@ class TestUnknownEntityIds:
 
     def test_node_proof_roundtrip_keeps_no_id(self):
         proof = self._acc().prove_node("zz", le(5)).proof
-        assert proof.kind == acc_mod.KIND_NONMEMBER_GLOBAL
-        again = NodeProof.from_bytes(proof.to_bytes())
+        assert proof.registry is not None and proof.local_proof is None
+        again = decode(proof.to_bytes(), _read_node_proof)
         assert again.internal_id is None
         assert again.to_bytes() == proof.to_bytes()
 
     def test_node_proof_nonzero_id_rejected(self):
-        proof = self._acc().prove_node("zz", le(5)).proof
-        proof.internal_id = 1
-        with pytest.raises(WireError):
-            NodeProof.from_bytes(proof.to_bytes())
+        acc = self._acc()
+        res = acc.prove_node("zz", le(5))
+        honest = res.proof.to_bytes()
+        assert verify_node(acc.committed_root, "zz", le(5), res, acc.registry_digest())
+        res.proof.internal_id = 1
+        assert res.proof.to_bytes() == honest
+        assert not verify_node(acc.committed_root, "zz", le(5), res, acc.registry_digest())
 
     def test_range_proof_nonzero_id_rejected(self):
-        proof = self._acc().prove_range("zz", 0, 9).proof
-        assert proof.registry is not None
-        assert decode(proof.to_bytes(), RangeProof.read_from).internal_id is None
-        proof.internal_id = 1
-        with pytest.raises(WireError):
-            decode(proof.to_bytes(), RangeProof.read_from)
+        acc = self._acc()
+        res = acc.prove_range("zz", 0, 9)
+        assert res.proof.registry is not None
+        honest = res.proof.to_bytes()
+        assert decode(honest, _read_range_proof).internal_id is None
+        assert verify_range(acc.committed_root, "zz", 0, 9, res, acc.registry_digest())
+        res.proof.internal_id = 1
+        assert res.proof.to_bytes() == honest
+        assert not verify_range(acc.committed_root, "zz", 0, 9, res, acc.registry_digest())
 
     def test_member_id_zero_kept(self):
         res = self._acc().prove_node("a", le(5))
-        assert NodeProof.from_bytes(res.proof.to_bytes()).internal_id == 0
+        assert decode(res.proof.to_bytes(), _read_node_proof).internal_id == 0
 
 
 class TestGoldenBytes:
@@ -156,10 +175,12 @@ def test_search_step_heights_are_canonical(honest_bundle):
 
 
 class TestProofFieldsFollowTheKind:
-    """A POI or range proof carries exactly the optional fields its kind
-    uses, so a stray field is a WireError instead of a second accepted
-    encoding of the same answer (synth seed 5, 300 events, 20 entities,
-    interval 1000)."""
+    """Whether a POI or range proof is about a member, a local miss or an
+    unknown entity follows from its fields: a registry marks an unknown
+    entity, and the layout has no room for a stray field beside it. A stray
+    field set on the object either changes the bytes into another answer's
+    layout or changes none, and the verifier refuses the object either way
+    (synth seed 5, 300 events, 20 entities, interval 1000)."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -174,23 +195,23 @@ class TestProofFieldsFollowTheKind:
         q = CausalityQuery(entity_ext, le(t), BOTH)
         bundle = analyze(logger.state.graph, logger.state.acc, logger.commitments[-1], q)
         assert admin.verify(q, ProofBundle.from_bytes(bundle.to_bytes())).accepted
-        return bundle
+        return q, bundle
 
     def test_member_proof_with_a_registry(self, world):
-        bundle = self._answer(world, "e3", world[0].state.graph.last_ts)
-        assert bundle.poi_proof.proof.kind == acc_mod.KIND_MEMBER
-        _assert_stray_field_refused(bundle, "registry", ["e0", "e1"])
+        q, bundle = self._answer(world, "e3", world[0].state.graph.last_ts)
+        assert bundle.poi_proof.found
+        _assert_stray_field_refused(world, q, bundle, "registry", ["e0", "e1"])
 
     def test_nonmember_local_proof_with_a_registry(self, world):
-        bundle = self._answer(world, "e3", 0)
-        assert bundle.poi_proof.proof.kind == acc_mod.KIND_NONMEMBER_LOCAL
-        _assert_stray_field_refused(bundle, "registry", ["e0", "e1"])
+        q, bundle = self._answer(world, "e3", 0)
+        assert bundle.poi_proof.proof.local_proof is not None and not bundle.poi_proof.found
+        _assert_stray_field_refused(world, q, bundle, "registry", ["e0", "e1"])
 
     def test_nonmember_global_proof_with_a_local_proof(self, world):
-        stray = self._answer(world, "e3", 0).poi_proof.proof.local_proof
-        bundle = self._answer(world, "zz", 0)
-        assert bundle.poi_proof.proof.kind == acc_mod.KIND_NONMEMBER_GLOBAL
-        _assert_stray_field_refused(bundle, "local_proof", stray)
+        stray = self._answer(world, "e3", 0)[1].poi_proof.proof.local_proof
+        q, bundle = self._answer(world, "zz", 0)
+        assert bundle.poi_proof.proof.registry is not None
+        _assert_stray_field_refused(world, q, bundle, "local_proof", stray)
 
     def test_unknown_entity_range_proof_with_a_local_range(self, world):
         logger, _ = world
@@ -199,17 +220,29 @@ class TestProofFieldsFollowTheKind:
         res = acc.prove_range("zz", 0, last)
         assert acc_mod.verify_range(c.root, "zz", 0, last, res, c.registry_digest)
         honest = res.proof.to_bytes()
-        res.proof.local_range = acc.prove_range("e3", 0, last).proof.local_range
-        mutant = res.proof.to_bytes()
-        assert mutant != honest
+        res.proof.local_proof = acc.prove_range("e3", 0, last).proof.local_proof
+        assert res.proof.to_bytes() == honest
+        assert not acc_mod.verify_range(c.root, "zz", 0, last, res, c.registry_digest)
+
+    def test_entity_proof_tag_other_than_0_or_1_refused(self, world):
+        _, bundle = self._answer(world, "e3", world[0].state.graph.last_ts)
+        blob = bundle.to_bytes()
+        gp = bundle.poi_proof.proof.global_proof.to_bytes()
+        at = blob.index(gp) + len(gp)
+        assert blob[at] == 0
         with pytest.raises(WireError):
-            decode(mutant, RangeProof.read_from)
+            ProofBundle.from_bytes(blob[:at] + b"\x02" + blob[at + 1:])
 
 
-def _assert_stray_field_refused(bundle, field, value):
+def _assert_stray_field_refused(world, q, bundle, field, value):
+    _, admin = world
     honest = bundle.to_bytes()
     setattr(bundle.poi_proof.proof, field, value)
+    assert not admin.verify(q, bundle).accepted
     mutant = bundle.to_bytes()
-    assert len(mutant) > len(honest)
-    with pytest.raises(WireError):
-        ProofBundle.from_bytes(mutant)
+    if mutant != honest:
+        try:
+            parsed = ProofBundle.from_bytes(mutant)
+        except WireError:
+            return
+        assert not admin.verify(q, parsed).accepted

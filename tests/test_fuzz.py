@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcause.accumulator import RangeProof, RangeResult, verify_range
+from vcause.accumulator import EntityProof, RangeResult, verify_range
 from vcause.causality import BOTH, CausalityQuery, ProofBundle, analyze, verify_bundle
+from vcause.dimtree import RangeSearchResult
 from vcause import protocol
 from vcause.protocol import load_state, save_state
 from vcause.wire import WireError, decode
@@ -100,12 +101,10 @@ def test_range_proof_mutants_rejected(logger, range_proof, edits):
     if mutant == blob:
         return
     try:
-        proof = decode(mutant, RangeProof.read_from)
+        proof = decode(mutant, lambda r: EntityProof.read_from(r, RangeSearchResult.read_from))
     except WireError:
         return
-    local = proof.local_range
-    found = local is not None and local.found
-    result = RangeResult(found, list(local.leaves) if found else [], proof)
+    result = RangeResult(proof)
     acc = logger.state.acc
     assert not verify_range(acc.committed_root, ext, a, b, result, acc.registry_digest())
 

@@ -197,21 +197,53 @@ def test_bad_flags_kinds_and_event_types_are_wire_errors(small_both, monkeypatch
             ProofBundle.from_bytes(_edited(blob, at, byte))
 
 
+def version_3_bytes(blob: bytes) -> bytes:
+    """The same answer in bundle version 3, whose POI proof wrote a found
+    flag, the node key, a version byte, a kind tag, the entity's external
+    id, the internal id (0 for an unknown entity) and a presence flag before
+    each of the global proof, the local proof and the registry."""
+    bundle = ProofBundle.from_bytes(blob)
+    res, proof = bundle.poi_proof, bundle.poi_proof.proof
+    kind = 1 if proof.registry is not None else 0 if res.found else 2
+    old_poi = b"".join((
+        flag(res.found), res.node_key.to_bytes() if res.found else b"",
+        u8(1), u8(kind), str_lp(bundle.query.entity_ext), u64(proof.internal_id or 0),
+        optional(proof.global_proof), optional(proof.local_proof),
+        optional(proof.registry, acc_mod.registry_bytes),
+    ))
+    poi_proof = res.to_bytes()
+    at = blob.index(poi_proof)  # right after the POI record
+    return u8(3) + blob[1:at] + old_poi + blob[at + len(poi_proof):]
+
+
 def version_2_bytes(blob: bytes, monkeypatch) -> bytes:
-    """The same answer in bundle version 2, which wrote each edge's kind
-    byte before its two NodeRefs: equal length, other bytes equal."""
-    out = bytearray(blob)
+    """The same answer in bundle version 2, which also wrote each edge's
+    kind byte before its two NodeRefs: the length of version 3."""
+    v3 = version_3_bytes(blob)
+    shift = len(v3) - len(blob)  # the POI proof precedes every edge
+    out = bytearray(v3)
     out[0] = 2
     for start, _ in _offsets(blob, monkeypatch)["edge"]:
-        out[start:start + 41] = blob[start + 40:start + 41] + blob[start:start + 40]
+        at = start + shift
+        out[at:at + 41] = v3[at + 40:at + 41] + v3[at:at + 40]
     return bytes(out)
 
 
 def test_version_2_bundle_is_a_wire_error(small_both, monkeypatch):
     _, blob, _ = small_both
-    assert blob[0] == 3
+    assert blob[0] == 4
     old = version_2_bytes(blob, monkeypatch)
-    assert len(old) == len(blob) and old != blob
+    assert len(old) == len(version_3_bytes(blob)) and old != version_3_bytes(blob)
+    with pytest.raises(WireError, match="unsupported bundle version"):
+        ProofBundle.from_bytes(old)
+
+
+def test_version_3_bundle_is_a_wire_error(small_both):
+    """Version 3 carried the POI proof's derivable fields: 21 bytes plus
+    the external id's length more for a found answer."""
+    q, blob, _ = small_both
+    old = version_3_bytes(blob)
+    assert len(old) == len(blob) + 21 + len(q.entity_ext.encode())
     with pytest.raises(WireError, match="unsupported bundle version"):
         ProofBundle.from_bytes(old)
 
