@@ -257,15 +257,16 @@ class Accumulator:
         self._dirty.add(internal)
         self.sync_ops += 1
 
-    def update_node(self, entity_ext: str, key: TimestampKey, new_digest: bytes) -> None:
-        internal = self.registry.get(entity_ext)
+    def update_node(self, node) -> None:
+        """Set a registered node's leaf payload to its leaf_digest()."""
+        internal = self.registry.get(node.entity_ext)
         if internal is None:
-            raise UnknownEntity(entity_ext)
+            raise UnknownEntity(node.entity_ext)
         tree = self.locals[internal]
-        index = tree.find_index(key.encoded())
+        index = tree.find_index(node.ref[1])
         if index is None:
-            raise UnknownKey(f"{entity_ext}@{key}")
-        tree.update(index, new_digest)
+            raise UnknownKey(f"{node.entity_ext}@{TimestampKey.from_encoded(node.ref[1])}")
+        tree.update(index, node.leaf_digest())
         self._dirty.add(internal)
         self.sync_ops += 1
 
@@ -346,12 +347,12 @@ class Accumulator:
 
 
 def _verify_entity(
-    root: bytes, entity_ext: str, proof: EntityProof, local_root_of, registry_digest
+    root: bytes, entity_ext: str, proof: EntityProof, local_type, local_root_of, registry_digest
 ) -> bool:
     """An unknown entity: the shipped registry hashes to the signed digest
     and omits entity_ext, and the next dense id is absent from the global
-    tree. A committed entity: the local proof rebuilds a local root (None
-    if the proof is invalid), and the global path ties (entity_ext, local
+    tree. A committed entity: the `local_type` local proof rebuilds a local
+    root (None if invalid), and the global path ties (entity_ext, local
     root) to the root under the entity's internal id."""
     gp = proof.global_proof
     if proof.registry is not None:
@@ -363,7 +364,7 @@ def _verify_entity(
             and entity_ext not in proof.registry
             and dimtree.verify_path(root, dimtree.REL_EXACT, len(proof.registry), gp)
         )
-    if proof.local_proof is None:
+    if not isinstance(proof.local_proof, local_type):
         return False
     local_root = local_root_of(proof.local_proof)
     if local_root is None or not gp.found or gp.leaf is None:
@@ -389,7 +390,7 @@ def verify_node(
     """
     op, bound = relation.local_bound()
     return _verify_entity(
-        root, entity_ext, result.proof,
+        root, entity_ext, result.proof, SearchProof,
         lambda lp: dimtree.reconstruct_path(op, bound, lp), registry_digest,
     )
 
@@ -407,7 +408,7 @@ def verify_range(
     lo = TimestampKey(a, 0).encoded()
     hi = TimestampKey(b, MAX_SEQ).encoded()
     return _verify_entity(
-        root, entity_ext, result.proof,
+        root, entity_ext, result.proof, RangeSearchResult,
         lambda local: dimtree.reconstruct_range(lo, hi, local), registry_digest,
     )
 

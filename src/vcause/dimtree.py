@@ -9,8 +9,9 @@ that meets a key interval or a key set while proving that no other does.
 
 Insertion is a subtree merge with O(1) amortized cost: after n inserts the
 total number of internal-hash computations is exactly n - popcount(n).
-Finalize folds the subtree roots right to left into a single root; the fold
-nodes are cached and invalidated lazily on the next mutation.
+An update only records the leaf. Finalize rehashes updated leaves with one
+hash per touched node, then folds the subtree roots right to left into a
+single root; the fold is cached until the next mutation.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ class _Node:
         self.max_bytes = max_bytes
 
 
-def _leaf_node(key: int, payload: bytes) -> _Node:
+def _leaf_node(leaf: LeafRecord) -> _Node:
     counters.leaf += 1
+    key = leaf.key
     kb = key.to_bytes(16, "big")  # u128(key)
     return _Node(
-        hashlib.sha3_256(_LEAF_TAG + kb + payload).digest(), key, key, 1, 1, None, None, kb, kb
+        hashlib.sha3_256(_LEAF_TAG + kb + leaf.payload).digest(), key, key, 1, 1, None, None, kb, kb
     )
 
 
@@ -378,6 +380,7 @@ class DimTree:
     def __init__(self):
         self.leaves: list[LeafRecord] = []
         self._stack: list[_Node] = []
+        self._stale: set[int] = set()  # updated leaves that finalize() rehashes
         self._root: _Node | None = None
 
     def __len__(self) -> int:
@@ -392,7 +395,7 @@ class DimTree:
             raise OutOfOrderKey(
                 f"key {leaf.key} below current max {self.leaves[-1].key}"
             )
-        node = _leaf_node(leaf.key, leaf.payload)
+        node = _leaf_node(leaf)
         while self._stack and self._stack[-1].height == node.height:
             node = _merge(self._stack.pop(), node)
         self._stack.append(node)
@@ -400,37 +403,11 @@ class DimTree:
         self._root = None
 
     def update(self, leaf_index: int, new_payload: bytes) -> None:
-        # path-copying: nodes off the updated path are shared, so forks of
-        # this tree stay valid and updates never mutate reachable state
+        """Replace a leaf's payload; finalize() rehashes it and its path."""
         if not 0 <= leaf_index < len(self.leaves):
             raise LeafIndexError(f"leaf {leaf_index} of {len(self.leaves)}")
-        base = 0
-        slot = None
-        for i, node in enumerate(self._stack):
-            if leaf_index < base + node.count:
-                slot = i
-                break
-            base += node.count
-        pos = leaf_index - base
-        path: list[tuple[_Node, bool]] = []
-        node = self._stack[slot]
-        while node.height > 1:
-            half = node.count // 2
-            went_right = pos >= half
-            path.append((node, went_right))
-            if went_right:
-                pos -= half
-                node = node.right
-            else:
-                node = node.left
-        old = self.leaves[leaf_index]
-        fresh = _leaf_node(old.key, new_payload)
-        for parent, went_right in reversed(path):
-            left = parent.left if went_right else fresh
-            right = fresh if went_right else parent.right
-            fresh = _merge(left, right)
-        self._stack[slot] = fresh
-        self.leaves[leaf_index] = LeafRecord(old.key, new_payload)
+        self.leaves[leaf_index] = LeafRecord(self.leaves[leaf_index].key, new_payload)
+        self._stale.add(leaf_index)
         self._root = None
 
     def fork(self) -> "DimTree":
@@ -438,18 +415,40 @@ class DimTree:
         other = DimTree()
         other.leaves = list(self.leaves)
         other._stack = list(self._stack)
+        other._stale = set(self._stale)
         other._root = self._root
         return other
 
     def finalize(self) -> bytes:
+        """Rehash the updated leaves' paths, then fold the slots into the root."""
         if not self.leaves:
             raise EmptyTree("cannot finalize an empty tree")
         if self._root is None:
+            stale = sorted(self._stale)
+            self._stale.clear()
+            base = 0
+            for slot, node in enumerate(self._stack):
+                cut = bisect_left(stale, base + node.count)
+                if cut:
+                    self._stack[slot] = self._rebuild(node, base, stale[:cut])
+                    del stale[:cut]
+                base += node.count
             acc = self._stack[-1]
             for node in self._stack[-2::-1]:
                 acc = _merge(node, acc)
             self._root = acc
         return self._root.hash
+
+    def _rebuild(self, node: _Node, first: int, stale: list[int]) -> _Node:
+        # a path copy (forks share `node`) of the subtree whose first leaf is
+        # `first`, rehashing the sorted leaf indices `stale` and their paths
+        if node.height == 1:
+            return _leaf_node(self.leaves[first])
+        mid = first + node.count // 2
+        cut = bisect_left(stale, mid)
+        left = self._rebuild(node.left, first, stale[:cut]) if cut else node.left
+        right = self._rebuild(node.right, mid, stale[cut:]) if cut < len(stale) else node.right
+        return _merge(left, right)
 
     @property
     def root(self) -> bytes:

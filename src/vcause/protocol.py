@@ -98,10 +98,7 @@ class EndpointState:
         for ref in self.pending_new:
             acc.register_node(nodes[ref])
         for ref in self.pending_dirty:
-            node = nodes[ref]
-            # a fresh key: node.key would keep one on every synced node
-            key = TimestampKey.from_encoded(ref[1])
-            acc.update_node(node.entity_ext, key, node.leaf_digest())
+            acc.update_node(nodes[ref])
         self.pending_new.clear()
         self.pending_dirty.clear()
         self.flushed_events = self.graph.event_count

@@ -24,7 +24,8 @@ from .helpers import ceil_key_scan, floor_key_scan
 
 
 class StubNode:
-    """Minimal object satisfying register_node's duck-typed contract."""
+    """Minimal object satisfying register_node's and update_node's
+    duck-typed contract."""
 
     def __init__(self, entity_ext, entity_id, key, blob=b""):
         self.entity_ext = entity_ext
@@ -114,20 +115,20 @@ class TestCommit:
     def test_update_node(self):
         acc = fill(Accumulator(), {"a": [(1, 0), (2, 0)]})
         r1 = acc.commit()
-        acc.update_node("a", TimestampKey(1, 0), hash_bytes(b"new"))
+        acc.update_node(StubNode("a", 0, TimestampKey(1, 0), blob=b"new"))
         r2 = acc.commit()
         assert r1 != r2
         # updating back to the identical digest restores the root
-        acc.update_node("a", TimestampKey(1, 0), StubNode("a", 0, TimestampKey(1, 0)).leaf_digest())
+        acc.update_node(StubNode("a", 0, TimestampKey(1, 0)))
         assert acc.commit() == r1
 
     def test_update_unknown(self):
         acc = fill(Accumulator(), {"a": [(1, 0)]})
         acc.commit()
         with pytest.raises(UnknownEntity):
-            acc.update_node("zzz", TimestampKey(1, 0), b"\x00" * 32)
+            acc.update_node(StubNode("zzz", 0, TimestampKey(1, 0)))
         with pytest.raises(UnknownKey):
-            acc.update_node("a", TimestampKey(9, 9), b"\x00" * 32)
+            acc.update_node(StubNode("a", 0, TimestampKey(9, 9)))
 
     def test_commit_equals_fresh_rebuild(self):
         rng = random.Random(9)
@@ -145,7 +146,7 @@ class TestCommit:
             acc.register_node(StubNode(ext, internal, key, blob=b"v1"))
             latest[ext] = key
             if rng.random() < 0.2 and prev is not None:
-                acc.update_node(ext, prev, rng.randbytes(32))
+                acc.update_node(StubNode(ext, internal, prev, blob=rng.randbytes(32)))
             if rng.random() < 0.1:
                 acc.commit()
         root = acc.commit()
@@ -301,6 +302,17 @@ class TestAdversarialNodeProofs:
         assert verify_node(new_root, "a", le(3), res_new)
         assert not verify_node(new_root, "a", le(3), res_old)
         assert verify_node(old_root, "a", le(3), res_old)
+
+    def test_wrong_local_proof_type_rejected(self):
+        # a point answer carrying a range proof and a range answer carrying
+        # a search proof are rejected, not crashed on
+        acc = self._two_entities()
+        point, span = acc.prove_node("a", le(3)), acc.prove_range("a", 1, 5)
+        point.proof.local_proof, span.proof.local_proof = (
+            span.proof.local_proof, point.proof.local_proof
+        )
+        assert not verify_node(acc.committed_root, "a", le(3), point)
+        assert not verify_range(acc.committed_root, "a", 1, 5, span)
 
     def test_registry_lie_rejected(self):
         acc = self._two_entities()

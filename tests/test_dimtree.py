@@ -95,19 +95,69 @@ class TestInsert:
         assert merges / n < 1
 
 
+def settle_cost(t: DimTree, updates) -> tuple[int, int]:
+    """(leaf, internal) hashes of applying (index, payload) updates and
+    finalizing."""
+    leaf0, internal0 = dimtree.counters.leaf, dimtree.counters.internal
+    for index, data in updates:
+        t.update(index, data)
+    t.finalize()
+    return dimtree.counters.leaf - leaf0, dimtree.counters.internal - internal0
+
+
 class TestUpdate:
     def test_single_leaf_no_internal_recompute(self):
         t = DimTree()
         t.insert(LeafRecord(1, payload(0)))
-        before = dimtree.counters.internal
-        t.update(0, payload(9))
-        assert dimtree.counters.internal - before == 0
+        assert settle_cost(t, [(0, payload(9))])[1] == 0
 
     def test_size8_subtree_three_recomputes(self):
+        assert settle_cost(build(range(8)), [(3, payload(99))])[1] == 3
+
+    def test_update_hashes_nothing_until_finalize(self):
         t = build(range(8))
-        before = dimtree.counters.internal
+        before = (dimtree.counters.leaf, dimtree.counters.internal)
         t.update(3, payload(99))
-        assert dimtree.counters.internal - before == 3
+        assert (dimtree.counters.leaf, dimtree.counters.internal) == before
+        with pytest.raises(NotFinalized):
+            _ = t.root
+
+    @pytest.mark.parametrize("n, indices, cost", [
+        (8, [0, 1], (2, 3)),  # siblings share all three ancestors
+        (8, [0, 7], (2, 5)),  # only the root is shared
+        (8, [5, 5], (1, 3)),  # a leaf updated twice hashes once
+        (7, [1, 4, 6], (3, 5)),  # slots of 4, 2, 1: 2 + 1 + 0 path hashes, 2 fold merges
+    ])
+    def test_one_hash_per_touched_node(self, n, indices, cost):
+        t = build(range(n))
+        updates = [(i, payload(90 + j)) for j, i in enumerate(indices)]
+        assert settle_cost(t, updates) == cost
+        assert t.leaves[indices[-1]].payload == updates[-1][1]  # the last write wins
+        assert t.root == naive_merkle_root(t.leaves)
+
+    def test_insert_over_stale_slot(self):
+        # the inserts merge the updated leaves' stale nodes; finalize still
+        # rehashes every node above them
+        for n in range(1, 18):
+            t = build(range(n))
+            t.update(0, payload(90))
+            t.update(n - 1, payload(91))
+            t.insert(LeafRecord(n, payload(n)))
+            t.insert(LeafRecord(n + 1, payload(n + 1)))
+            assert t.finalize() == naive_merkle_root(t.leaves)
+
+    def test_fork_between_update_and_finalize(self):
+        t = build(range(13))
+        t.update(2, payload(90))
+        u = t.fork()
+        u.update(2, payload(91))
+        u.update(9, payload(92))
+        t.update(12, payload(93))
+        t_leaves, u_leaves = list(t.leaves), list(u.leaves)
+        assert t_leaves != u_leaves
+        assert t.finalize() == naive_merkle_root(t_leaves)
+        assert u.finalize() == naive_merkle_root(u_leaves)
+        assert t.root == naive_merkle_root(t_leaves)
 
     def test_keys_unchanged(self):
         t = build([2, 4, 6])

@@ -341,7 +341,7 @@ class TestWritePathWork:
         logger = make_logger(interval=1000)
         for ev in synth(SynthConfig(seed=7, n_events=2000, n_entities=500)):
             logger.ingest(ev)
-        assert (counters.leaf - leaf0, counters.internal - internal0) == (3079, 4649)
+        assert (counters.leaf - leaf0, counters.internal - internal0) == (3079, 3038)
         assert logger.state.graph.total_digest_updates == 5365
         assert logger.state.acc.sync_ops == 2438
         assert [c.root.hex() for c in logger.commitments] == [
